@@ -9,6 +9,7 @@ and the model's decision variables; indexed variables use the
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,7 @@ class ModelBuilder:
         if not lower <= upper:
             raise BuildError(f"column {name}: lower {lower} exceeds upper {upper}")
         index = len(self._col_names)
+        name = sys.intern(name)  # names repeat across instances of one model
         self._col_names.append(name)
         self._col_index[name] = index
         self._lower.append(float(lower))
@@ -70,7 +72,7 @@ class ModelBuilder:
                 self._coo_rows.append(row)
                 self._coo_cols.append(col)
                 self._coo_vals.append(float(value))
-        self._row_names.append(name)
+        self._row_names.append(sys.intern(name))
         self._row_sense.append(sense)
         self._rhs.append(float(rhs))
         return row

@@ -3,7 +3,11 @@
 The solver works on the equality form ``A x + s = b`` where one logical
 column per row carries the row sense in its bounds. The basis inverse is
 held as a sparse LU factorization plus a product-form eta file, refreshed
-every few dozen pivots. Phase 1 minimizes the total bound violation of
+every ``REFACTOR_INTERVAL`` pivots. The eta file is a dense block of eta
+columns with the inverse of its small triangular coupling matrix, so a
+solve applies every eta at once with two small matrix products instead of
+one Python step per eta. Entering columns are read straight from the CSC
+arrays of the standard form. Phase 1 minimizes the total bound violation of
 the basic variables with a piecewise-linear composite objective, which
 lets it start from any basis (cold logical start or a warm basis from a
 related solve). Pricing is Dantzig with a Bland fallback that engages
@@ -17,6 +21,7 @@ identical inputs give identical bases.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +33,15 @@ from .milp_instance import GE, LE, MilpInstance
 
 BASIC, AT_LOWER, AT_UPPER, FREE = 0, 1, 2, 3
 
+# _ENTER_RATE[status]: change of a column per unit of entering move up and
+# down. A column at its lower bound may only rise, one at its upper bound
+# only fall, a free one either way; a basic one does not enter.
+_ENTER_RATE = np.array([[0.0, 0.0],       # BASIC
+                        [1.0, 0.0],       # AT_LOWER
+                        [0.0, -1.0],      # AT_UPPER
+                        [1.0, -1.0]])     # FREE
+
+# Chosen with the benchmark over 16, 32, 48, 64, 96 and 128 (CHANGES.md).
 REFACTOR_INTERVAL = 64
 STALL_LIMIT = 300
 PIVOT_TOL = 1e-9
@@ -38,7 +52,7 @@ TIE_TOL = 1e-9
 class LpResult:
     """Outcome of one LP solve on the standardized columns."""
 
-    status: str                      # optimal | infeasible | unbounded
+    status: str                      # optimal | infeasible | unbounded | time_limit
     x: np.ndarray | None             # structural plus logical values
     objective: float | None
     basis: np.ndarray | None
@@ -79,10 +93,22 @@ def standardize(instance: MilpInstance) -> StandardForm:
 
 
 class _Factor:
-    """Basis inverse as sparse LU plus a product-form eta file."""
+    """Basis inverse as sparse LU plus a product-form eta file.
+
+    The eta file is applied in one batch. Row k of ``etas`` holds
+    ``w_k - e_{r_k}`` for the pivot of ``w_k = B_k^-1 a_in`` on row ``r_k``,
+    so ``B^-1 = (I - W L^-1 R^T) LU^-1`` with ``W`` = ``etas.T``, ``R`` the
+    pivot rows as unit columns and ``L`` lower triangular:
+    ``L[k, k] = w_k[r_k]`` and ``L[k, i] = etas[i, r_k]`` for ``i < k``.
+    ``L^-1`` is kept explicitly and grows by one row per update; its upper
+    triangle is never written and stays zero.
+    """
 
     def __init__(self, matrix: sp.csc_matrix, basis: np.ndarray):
         self.matrix = matrix
+        self.etas = np.empty((REFACTOR_INTERVAL, len(basis)))
+        self.rows = np.empty(REFACTOR_INTERVAL, dtype=np.int64)
+        self.l_inv = np.zeros((REFACTOR_INTERVAL, REFACTOR_INTERVAL))
         self.refactor(basis)
 
     def refactor(self, basis: np.ndarray) -> None:
@@ -90,30 +116,31 @@ class _Factor:
             self.lu = splu(self.matrix[:, basis].tocsc())
         except RuntimeError as exc:
             raise NumericalError(f"singular basis: {exc}") from exc
-        self.etas: list[tuple[int, np.ndarray, float]] = []
-
-    @property
-    def age(self) -> int:
-        return len(self.etas)
+        self.age = 0
 
     def update(self, row: int, w: np.ndarray) -> None:
-        self.etas.append((row, w.copy(), w[row]))
+        """Record the pivot of ``w = B^-1 a_in`` on ``row``."""
+        k = self.age
+        self.l_inv[k, :k] = -(self.etas[:k, row] @ self.l_inv[:k, :k]) / w[row]
+        self.l_inv[k, k] = 1.0 / w[row]
+        self.etas[k] = w
+        self.etas[k, row] -= 1.0
+        self.rows[k] = row
+        self.age = k + 1
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
         y = self.lu.solve(v)
-        for row, w, wr in self.etas:
-            yr = y[row] / wr
-            y -= w * yr
-            y[row] = yr
+        k = self.age
+        if k:
+            y -= (self.l_inv[:k, :k] @ y[self.rows[:k]]) @ self.etas[:k]
         return y
 
     def btran(self, v: np.ndarray) -> np.ndarray:
-        y = v.copy()
-        for row, w, wr in reversed(self.etas):
-            yr = y[row]
-            y[row] = 0.0
-            y[row] = (yr - w @ y) / wr
-        return self.lu.solve(y, trans="T")
+        k = self.age
+        if k:
+            s = (self.etas[:k] @ v) @ self.l_inv[:k, :k]
+            v = v - np.bincount(self.rows[:k], s, minlength=len(v))
+        return self.lu.solve(v, trans="T")
 
 
 def _cold_start(form: StandardForm, lower: np.ndarray, upper: np.ndarray):
@@ -147,12 +174,16 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
                   basis: np.ndarray | None = None,
                   col_status: np.ndarray | None = None,
                   tol_feas: float = 1e-7, tol_opt: float = 1e-7,
-                  max_iter: int | None = None) -> LpResult:
+                  max_iter: int | None = None,
+                  deadline: float | None = None) -> LpResult:
     """Solve min c.x over A x + s = b with column bounds.
 
     ``objective``, ``lower`` and ``upper`` cover the structural columns;
     logical bounds come from the standard form. Passing the ``basis`` and
-    ``col_status`` of a previous result warm-starts the solve.
+    ``col_status`` of a previous result warm-starts the solve. When
+    ``time.perf_counter()`` passes ``deadline`` the solve stops with status
+    ``time_limit``. An optimal point is returned inside its bounds: basic
+    values within ``tol_feas`` outside a bound are clipped onto it.
     """
     m = form.matrix.shape[0]
     n_total = form.n_struct + m
@@ -175,6 +206,15 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
 
     x = _nonbasic_values(status, l_full, u_full)
     factor = _Factor(form.matrix, basis)
+    indptr, indices, data = form.matrix.indptr, form.matrix.indices, form.matrix.data
+    movable = (u_full - l_full) > 0.0
+    # (rate_up[j], rate_dn[j]) is _ENTER_RATE[status[j]], or zero for a fixed column.
+    rate_up, rate_dn = (_ENTER_RATE[status] * movable[:, None]).T.copy()
+
+    def set_status(j, value):
+        status[j] = value
+        if movable[j]:
+            rate_up[j], rate_dn[j] = _ENTER_RATE[value]
 
     def recompute_basics():
         x[basis] = 0.0
@@ -183,7 +223,7 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
 
     recompute_basics()
 
-    fixed = (u_full - l_full) <= 0.0
+    c_b, l_b, u_b = c_full[basis], l_full[basis], u_full[basis]
     iterations = 0
     bland = False
     stall = 0
@@ -191,8 +231,10 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
     last_phase = None
 
     while True:
+        if deadline is not None and time.perf_counter() > deadline:
+            return LpResult("time_limit", None, None, basis.copy(), status.copy(),
+                            iterations)
         x_b = x[basis]
-        l_b, u_b = l_full[basis], u_full[basis]
         below = x_b < l_b - tol_feas
         above = x_b > u_b + tol_feas
         phase1 = bool(below.any() or above.any())
@@ -202,7 +244,7 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
             reduced = -(form.matrix_t @ pi)
             merit = float((l_b - x_b)[below].sum() + (x_b - u_b)[above].sum())
         else:
-            pi = factor.btran(c_full[basis])
+            pi = factor.btran(c_b)
             reduced = c_full - form.matrix_t @ pi
             merit = float(c_full @ x)
 
@@ -219,16 +261,10 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
         last_merit = merit
 
         # Entering column: most attractive reduced cost, or Bland on stall.
-        # score is -(improvement rate) for every eligible entering move.
-        can_up = ((status == AT_LOWER) | (status == FREE)) & ~fixed
-        can_dn = ((status == AT_UPPER) | (status == FREE)) & ~fixed
-        score = np.zeros(n_total)
-        m_up = can_up & (reduced < 0)
-        score[m_up] = reduced[m_up]
-        m_dn = can_dn & (reduced > 0)
-        score[m_dn] = -reduced[m_dn]
-        eligible = score < -tol_opt
-        if not eligible.any():
+        # score is -(improvement rate) of the best move each column may make.
+        score = np.minimum(reduced * rate_up, reduced * rate_dn)
+        j_in = int(np.argmin(score))
+        if score[j_in] >= -tol_opt:
             if phase1:
                 return LpResult("infeasible", None, None, basis.copy(),
                                 status.copy(), iterations)
@@ -241,17 +277,18 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
                     raise NumericalError(
                         f"optimal basis fails the row residual check "
                         f"({resid:.3e} on rhs scale {scale:.3e})")
+            np.clip(x, l_full, u_full, out=x)
             return LpResult("optimal", x.copy(), float(c_full @ x), basis.copy(),
                             status.copy(), iterations)
 
         if bland:
-            j_in = int(np.flatnonzero(eligible)[0])
-        else:
-            j_in = int(np.argmin(score))
-        move_up = can_up[j_in] and reduced[j_in] < -tol_opt
+            j_in = int(np.argmax(score < -tol_opt))
+        move_up = reduced[j_in] < 0.0
         sigma = 1.0 if move_up else -1.0
 
-        col = form.matrix[:, j_in].toarray().ravel()
+        start, stop = indptr[j_in], indptr[j_in + 1]
+        col = np.zeros(m)
+        col[indices[start:stop]] = data[start:stop]
         w = factor.ftran(col)
         rate = -sigma * w  # change of basic values per unit of entering move
 
@@ -277,7 +314,7 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
             # Bound flip: the entering column crosses to its other bound.
             x[basis] = x_b + rate * theta_own
             x[j_in] = u_full[j_in] if move_up else l_full[j_in]
-            status[j_in] = AT_UPPER if move_up else AT_LOWER
+            set_status(j_in, AT_UPPER if move_up else AT_LOWER)
             continue
 
         # Leaving variable: largest pivot magnitude among tied blockers.
@@ -300,9 +337,10 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
         if phase1 and above[r]:
             hit_upper = True
         x[j_out] = u_full[j_out] if hit_upper else l_full[j_out]
-        status[j_out] = AT_UPPER if hit_upper else AT_LOWER
-        status[j_in] = BASIC
+        set_status(j_out, AT_UPPER if hit_upper else AT_LOWER)
+        set_status(j_in, BASIC)
         basis[r] = j_in
+        c_b[r], l_b[r], u_b[r] = c_full[j_in], l_full[j_in], u_full[j_in]
         factor.update(r, w)
         if factor.age >= REFACTOR_INTERVAL:
             factor.refactor(basis)
@@ -316,38 +354,27 @@ def _max_residual(form: StandardForm, x: np.ndarray) -> float:
 def _ratio_test(x_b, l_b, u_b, rate, below, above, phase1):
     """Largest step before a basic variable hits a blocking bound.
 
-    Returns (theta, blocker candidate rows) or (None, None) when no basic
-    variable blocks. In phase 1, variables beyond a bound block when they
-    reach the violated bound (turning feasible); feasible ones block at
-    whichever bound they approach, exactly as in phase 2.
+    Returns (theta, blocker candidate rows in ascending order) or
+    (None, None) when no basic variable blocks. Only rows with
+    ``|rate| > PIVOT_TOL`` move. In phase 1, variables beyond a bound
+    block when they reach the violated bound (turning feasible); feasible
+    ones block at whichever bound they approach, exactly as in phase 2.
     """
-    m = len(x_b)
-    theta = np.full(m, np.inf)
-    moving_up = rate > PIVOT_TOL
-    moving_dn = rate < -PIVOT_TOL
-
+    rows = np.flatnonzero(np.abs(rate) > PIVOT_TOL)
+    rate = rate[rows]
+    lo, hi = l_b[rows], u_b[rows]
     if phase1:
-        ok = ~(below | above)
-    else:
-        ok = np.ones(m, dtype=bool)
-        below = np.zeros(m, dtype=bool)
-        above = np.zeros(m, dtype=bool)
-
-    sel = ok & moving_up & np.isfinite(u_b)
-    theta[sel] = np.maximum(u_b[sel] - x_b[sel], 0.0) / rate[sel]
-    sel = ok & moving_dn & np.isfinite(l_b)
-    theta[sel] = np.maximum(x_b[sel] - l_b[sel], 0.0) / (-rate[sel])
-    if phase1:
-        sel = below & moving_up
-        theta[sel] = (l_b[sel] - x_b[sel]) / rate[sel]
-        sel = above & moving_dn
-        theta[sel] = (x_b[sel] - u_b[sel]) / (-rate[sel])
-
-    best = theta.min()
-    if not np.isfinite(best):
+        # A variable below its lower bound blocks there when rising and never
+        # when falling; one above its upper bound the other way round.
+        b, a = below[rows], above[rows]
+        lo, hi = (np.where(b, -np.inf, np.where(a, hi, lo)),
+                  np.where(a, np.inf, np.where(b, lo, hi)))
+    theta = (np.where(rate > 0.0, hi, lo) - x_b[rows]) / rate
+    np.maximum(theta, 0.0, out=theta)
+    best = float(theta.min(initial=np.inf))
+    if best == np.inf:
         return None, None
-    blockers = np.flatnonzero(theta <= best + TIE_TOL)
-    return float(best), blockers
+    return best, rows[theta <= best + TIE_TOL]
 
 
 def _solve_unconstrained(c, lower, upper) -> LpResult:

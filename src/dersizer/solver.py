@@ -20,6 +20,9 @@ Three interchangeable backends sit behind :func:`solve_milp`:
 Each solve is single-threaded and deterministic; distinct instances may
 be solved concurrently. The reference backend streams one log line per
 processed node (id, bound, incumbent, gap) into ``SolveResult.node_log``.
+A ``time_limit`` ends the ``reference`` and ``external`` backends with
+status ``time_limit``, keeping any incumbent; the reference backend
+checks it in every simplex iteration.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OracleGuardError, SolverError
+from .errors import NumericalError, OracleGuardError, SolverError
 from .milp_instance import EQ, GE, LE, MilpInstance
 from .simplex import StandardForm, simplex_solve, standardize
 
@@ -148,16 +151,18 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
         col_status = warm.col_status if warm is not None else None
         try:
             return simplex_solve(form, instance.objective, lower, upper,
-                                 basis=basis, col_status=col_status)
-        except Exception:
+                                 basis=basis, col_status=col_status,
+                                 deadline=deadline)
+        except NumericalError:
             if warm is None:
                 raise
-            return simplex_solve(form, instance.objective, lower, upper)
+            return simplex_solve(form, instance.objective, lower, upper,
+                                 deadline=deadline)
 
     root = lp({})
     iterations = root.iterations
-    if root.status == "infeasible":
-        return SolveResult("infeasible", None, None, achieved_gap=np.inf,
+    if root.status in ("infeasible", "time_limit"):
+        return SolveResult(root.status, None, None, achieved_gap=np.inf,
                            iterations=iterations,
                            wall_time=time.perf_counter() - started, node_log=log)
     if root.status == "unbounded":
@@ -204,6 +209,8 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
             seen.append(fixes)
             dive = lp(fixes, warm=root)
             iterations += dive.iterations
+            if dive.status == "time_limit":
+                break
             if dive.status == "optimal":
                 try_incumbent(dive.objective, dive.x)
                 break
@@ -242,6 +249,9 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
                    f"incumbent={inc_str} gap={gap_str}")
         if res.status == "infeasible":
             continue
+        if res.status == "time_limit":
+            status = "time_limit"
+            break
         if res.status != "optimal":
             raise SolverError(f"node LP ended {res.status}")
         if incumbent_obj is not None and res.objective >= incumbent_obj - 1e-12 * max(
@@ -394,6 +404,9 @@ def solve_external(instance: MilpInstance, options: SolveOptions) -> SolveResult
                           "model is bounded below, so the instance violates "
                           "the solver contract")
     if res.x is None:
+        if res.status == 1:
+            return SolveResult("time_limit", None, None, achieved_gap=np.inf,
+                               wall_time=wall)
         raise SolverError(f"external backend failed: {res.message}")
     gap = float(res.mip_gap) if res.mip_gap is not None else 0.0
     bound = float(res.mip_dual_bound) if res.mip_dual_bound is not None else None

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from dersizer import solve_lp
@@ -148,3 +149,33 @@ def test_fixed_columns_are_respected():
     assert res.status == "optimal"
     assert res.x[x] == pytest.approx(2.0)
     assert res.x[y] == pytest.approx(3.0, abs=1e-9)
+
+
+def test_factor_solves_match_dense_across_refactors():
+    from dersizer.simplex import REFACTOR_INTERVAL, _Factor
+
+    rng = np.random.default_rng(7)
+    m, n = 30, 60
+    a = sp.random(m, n, density=0.15, random_state=rng, format="csc",
+                  data_rvs=lambda k: rng.uniform(1.0, 2.0, k) * rng.choice([-1.0, 1.0], k))
+    matrix = sp.hstack([a, sp.identity(m, format="csc")], format="csc")
+    basis = np.arange(n, n + m)
+    factor = _Factor(matrix, basis)
+    for _ in range(2 * REFACTOR_INTERVAL + 3):
+        if factor.age >= REFACTOR_INTERVAL:
+            factor.refactor(basis)
+        # A nonbasic column enters on the row of its largest pivot, which
+        # keeps the basis well conditioned after every update.
+        w = np.zeros(m)
+        while np.abs(w).max() < 0.5:
+            j = int(rng.choice(np.setdiff1d(np.arange(n + m), basis)))
+            w = factor.ftran(matrix[:, j].toarray().ravel())
+        r = int(np.argmax(np.abs(w)))
+        basis[r] = j
+        factor.update(r, w)
+        dense = matrix[:, basis].toarray()
+        v = rng.normal(size=m)
+        np.testing.assert_allclose(factor.ftran(v), np.linalg.solve(dense, v),
+                                   rtol=1e-9, atol=1e-9 * np.abs(v).max())
+        np.testing.assert_allclose(factor.btran(v), np.linalg.solve(dense.T, v),
+                                   rtol=1e-9, atol=1e-9 * np.abs(v).max())

@@ -1,11 +1,15 @@
 """MILP solving: reference branch-and-bound, oracle and external backends."""
 
+import time
+
 import numpy as np
 import pytest
 
-from dersizer import (CaseSpec, SolveOptions, build_model, extract_solution,
-                      oracle_enumerate, solve_lp, solve_milp)
-from dersizer.errors import OracleGuardError, SolverError
+import dersizer.solver as solver
+from dersizer import (CaseSpec, LoadSplitSpec, ReductionConfig, SolveOptions,
+                      build_model, extract_solution, oracle_enumerate,
+                      reduce_scenarios, solve_lp, solve_milp)
+from dersizer.errors import NumericalError, OracleGuardError, SolverError
 from dersizer.milp_instance import GE, ModelBuilder
 
 from conftest import tiny_sizing_inputs
@@ -148,3 +152,68 @@ def test_extracted_solution_satisfies_audit():
     solution = extract_solution(inst, res)
     report = check_solution(solution, scen, catalog, tariff)
     assert report.ok, report.to_text()
+
+
+@pytest.mark.parametrize("seed", [41, 214, 279, 393])
+def test_reference_extraction_survives_roundoff_below_bounds(seed):
+    # These instances once returned capacities like -8.6e-48 from the simplex.
+    inst, _ = _tiny_instance(seed)
+    res = solve_milp(inst, SolveOptions(relative_gap=1e-6, backend="reference"))
+    assert res.ok
+    extract_solution(inst, res)
+
+
+def test_reference_points_lie_inside_column_bounds():
+    for case in range(4):
+        for seed in range(20):
+            inst, _ = _tiny_instance(seed, case)
+            res = solve_milp(inst, SolveOptions(relative_gap=1e-6, backend="reference"))
+            assert res.ok, (case, seed)
+            assert np.all(inst.col_lower <= res.x), (case, seed)
+            assert np.all(res.x <= inst.col_upper), (case, seed)
+
+
+def test_reference_time_limit_stops_inside_the_root_lp(packaged_profile, table_catalog,
+                                                       default_tariff):
+    days = reduce_scenarios(packaged_profile, ReductionConfig(k=2), LoadSplitSpec())
+    inst = build_model(days, table_catalog, default_tariff, CaseSpec.from_number(3))
+    started = time.perf_counter()
+    res = solve_milp(inst, SolveOptions(relative_gap=1e-3, time_limit=0.5,
+                                        backend="reference"))
+    assert time.perf_counter() - started < 1.5
+    assert res.status == "time_limit"
+
+
+def test_external_time_limit_without_incumbent_is_a_status(reduced_set, table_catalog,
+                                                           default_tariff):
+    inst = build_model(reduced_set, table_catalog, default_tariff, CaseSpec.from_number(3))
+    res = solve_milp(inst, SolveOptions(relative_gap=0.0, time_limit=0.01,
+                                        backend="external"))
+    assert res.status == "time_limit"
+
+
+def _fail_warm_starts(monkeypatch, error):
+    real = solver.simplex_solve
+
+    def simplex_solve(*args, basis=None, **kwargs):
+        if basis is not None:
+            raise error
+        return real(*args, basis=basis, **kwargs)
+
+    monkeypatch.setattr(solver, "simplex_solve", simplex_solve)
+
+
+def test_warm_start_numerical_error_retries_cold(monkeypatch):
+    inst, _ = _tiny_instance(2)  # known to branch, so it warm-starts
+    expected = solve_milp(inst, SolveOptions(relative_gap=1e-6, backend="reference"))
+    _fail_warm_starts(monkeypatch, NumericalError("injected"))
+    res = solve_milp(inst, SolveOptions(relative_gap=1e-6, backend="reference"))
+    assert res.ok
+    assert res.objective == pytest.approx(expected.objective, rel=1e-6)
+
+
+def test_warm_start_other_errors_propagate(monkeypatch):
+    inst, _ = _tiny_instance(2)
+    _fail_warm_starts(monkeypatch, ValueError("injected"))
+    with pytest.raises(ValueError, match="injected"):
+        solve_milp(inst, SolveOptions(relative_gap=1e-6, backend="reference"))
