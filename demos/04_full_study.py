@@ -6,7 +6,7 @@ the investment-results table plus the savings of each case against the
 no-DER base. Outputs land in ./study_out as CSV and audit transcripts.
 """
 
-from dersizer import compare_cases, recompute_cost_breakdown, run_study
+from dersizer import compare_cases, run_study
 from dersizer.study import StudyConfig
 
 config = StudyConfig.from_dict({

@@ -30,12 +30,14 @@ concurrently.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from dataclasses import replace
+
 import numpy as np
 
+from .audit import recompute_cost_breakdown
 from .data_model import DeviceCatalog, ScenarioSet, TariffPlan, validate_scenario_set
 from .errors import BuildError, SolverError
-from .finance import (CostBreakdown, annualize_expected, degradation_cost,
-                      demand_charge, energy_charge, investment_cost, shedding_cost)
 from .milp_instance import EQ, LE, GE, MilpInstance, ModelBuilder
 from .solution import CaseSpec, GridDispatch, IslandedDispatch, SizingSolution
 
@@ -95,6 +97,11 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
     ``soc_boundary`` is ``"cyclic"`` (start equals end of day, both free
     within the usable band) or a fraction of the battery's energy capacity
     fixing the start-of-day state.
+
+    ``meta["blocks"]`` maps each variable family, named by its column-name
+    prefix, to its column indices: ``x`` (pv, es, ic, inv, con), ``p_peak``
+    (S,), ``soc`` (S, T+1) and every other family (S, T). Families the case
+    does not build are absent.
     """
     report = validate_scenario_set(scenario_set)
     if not report.ok:
@@ -124,18 +131,27 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
     x_inv = b.add_col("x_inv", 0.0, np.inf if es_on else 0.0, catalog.c_inv)
     x_con = b.add_col("x_con", 0.0, np.inf, catalog.c_con)
 
+    # Column indices of every variable family, in (scenario, interval) order.
+    families: dict[str, list[int]] = defaultdict(list)
+
+    def add(family: str, st: str, lower: float = 0.0, upper: float = np.inf,
+            objective: float = 0.0, binary: bool = False) -> int:
+        index = b.add_col(f"{family}_{st}", lower, upper, objective, binary)
+        families[family].append(index)
+        return index
+
     rho_cap = catalog.rho_ep  # kWh of energy capacity per kW of rating
 
     for s, day in enumerate(scenario_set.days):
         w_day = day.probability * scenario_set.annual_day_weight
         w_dem = day.probability * scenario_set.annual_demand_weight
-        p_peak = b.add_col(f"p_peak_s{s}", 0.0, tariff.peak_cap,
-                           w_dem * tariff.demand_price)
+        p_peak = add("p_peak", f"s{s}", 0.0, tariff.peak_cap,
+                     w_dem * tariff.demand_price)
 
         soc = {}
         if es_on:
             for t in range(t_count + 1):
-                soc[t] = b.add_col(f"soc_s{s}_t{t}", 0.0, np.inf)
+                soc[t] = add("soc", f"s{s}_t{t}")
                 b.add_row(f"soc_lo_s{s}_t{t}",
                           [(soc[t], 1.0), (x_es, -catalog.alpha_min * rho_cap)], GE, 0.0)
                 b.add_row(f"soc_hi_s{s}_t{t}",
@@ -155,22 +171,23 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
             nl_ac, nl_dc = day.nl_ac[ti], day.nl_dc[ti]
             avail = day.pv_availability[ti]
 
-            p_grid = b.add_col(f"p_grid_{st}", 0.0, np.inf,
-                               w_day * tariff.energy_price[ti])
-            v_pv = b.add_col(f"v_pv_{st}", 0.0, np.inf)
-            f_ac = b.add_col(f"f_ac_{st}", -np.inf, np.inf)
-            f_in = b.add_col(f"f_dc_in_{st}", 0.0, np.inf)
-            f_out = b.add_col(f"f_dc_out_{st}", 0.0, np.inf)
-            z = b.add_col(f"z_flow_{st}", 0.0, 1.0, binary=True)
+            p_grid = add("p_grid", st, 0.0, np.inf, w_day * tariff.energy_price[ti])
+            v_pv = add("v_pv", st, 0.0, np.inf)
+            f_ac = add("f_ac", st, -np.inf, np.inf)
+            f_in = add("f_dc_in", st, 0.0, np.inf)
+            f_out = add("f_dc_out", st, 0.0, np.inf)
+            z = add("z_flow", st, 0.0, 1.0, binary=True)
 
             if es_on:
                 deg = w_day * catalog.c_deg
-                dch_ac = b.add_col(f"dch_ac_{st}", 0.0, np.inf, deg)
-                dch_dc = b.add_col(f"dch_dc_{st}", 0.0, np.inf, deg)
-                ch_ac = b.add_col(f"ch_ac_{st}", 0.0, np.inf, deg)
-                ch_dc = b.add_col(f"ch_dc_{st}", 0.0, np.inf, deg)
-                y = b.add_col(f"y_dch_{st}", 0.0, 1.0, binary=True)
-                u, _k, _rows = linearize_product(b, x_es, y, m_es, f"dch_{st}")
+                dch_ac = add("dch_ac", st, 0.0, np.inf, deg)
+                dch_dc = add("dch_dc", st, 0.0, np.inf, deg)
+                ch_ac = add("ch_ac", st, 0.0, np.inf, deg)
+                ch_dc = add("ch_dc", st, 0.0, np.inf, deg)
+                y = add("y_dch", st, 0.0, 1.0, binary=True)
+                u, k, _rows = linearize_product(b, x_es, y, m_es, f"dch_{st}")
+                families["u_dch"].append(u)
+                families["k_dch"].append(k)
 
             # AC and DC bus balances; no shedding while grid-connected.
             ac_terms = [(p_grid, 1.0), (f_ac, -1.0)]
@@ -205,18 +222,18 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
             b.add_row(f"peak_link_{st}", [(p_grid, 1.0), (p_peak, -1.0)], LE, 0.0)
 
             # Islanded one-interval contingency at this interval.
-            i_v = b.add_col(f"i_v_pv_{st}", 0.0, np.inf)
-            i_f_ac = b.add_col(f"i_f_ac_{st}", -np.inf, np.inf)
-            i_f_in = b.add_col(f"i_f_dc_in_{st}", 0.0, np.inf)
-            i_f_out = b.add_col(f"i_f_dc_out_{st}", 0.0, np.inf)
-            zi = b.add_col(f"i_z_flow_{st}", 0.0, 1.0, binary=True)
-            lcl_ac_c = b.add_col(f"shed_cl_ac_{st}", 0.0, cl_ac, w_day * catalog.voll_cl)
-            lcl_dc_c = b.add_col(f"shed_cl_dc_{st}", 0.0, cl_dc, w_day * catalog.voll_cl)
-            lnl_ac_c = b.add_col(f"shed_nl_ac_{st}", 0.0, nl_ac, w_day * catalog.voll_nl)
-            lnl_dc_c = b.add_col(f"shed_nl_dc_{st}", 0.0, nl_dc, w_day * catalog.voll_nl)
+            i_v = add("i_v_pv", st, 0.0, np.inf)
+            i_f_ac = add("i_f_ac", st, -np.inf, np.inf)
+            i_f_in = add("i_f_dc_in", st, 0.0, np.inf)
+            i_f_out = add("i_f_dc_out", st, 0.0, np.inf)
+            zi = add("i_z_flow", st, 0.0, 1.0, binary=True)
+            lcl_ac_c = add("shed_cl_ac", st, 0.0, cl_ac, w_day * catalog.voll_cl)
+            lcl_dc_c = add("shed_cl_dc", st, 0.0, cl_dc, w_day * catalog.voll_cl)
+            lnl_ac_c = add("shed_nl_ac", st, 0.0, nl_ac, w_day * catalog.voll_nl)
+            lnl_dc_c = add("shed_nl_dc", st, 0.0, nl_dc, w_day * catalog.voll_nl)
             if es_on:
-                i_dch_ac = b.add_col(f"i_dch_ac_{st}", 0.0, np.inf)
-                i_dch_dc = b.add_col(f"i_dch_dc_{st}", 0.0, np.inf)
+                i_dch_ac = add("i_dch_ac", st, 0.0, np.inf)
+                i_dch_dc = add("i_dch_dc", st, 0.0, np.inf)
 
             iac_terms = [(i_f_ac, -1.0), (lcl_ac_c, 1.0), (lnl_ac_c, 1.0)]
             if es_on:
@@ -264,23 +281,28 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
                       [(i_f_in, 1.0 / catalog.eta_ic), (x_ic, -1.0)], LE, 0.0)
             b.add_row(f"size_ic_i_out_{st}", [(i_f_out, 1.0), (x_ic, -1.0)], LE, 0.0)
 
-    expected = expected_dimensions(len(scenario_set.days), t_count, case)
+    n_s = len(scenario_set.days)
+    expected = expected_dimensions(n_s, t_count, case)
     if (b.n_cols, b.n_rows) != (expected["n_cols"], expected["n_rows"]):
         raise BuildError(f"built ({b.n_cols}, {b.n_rows}) columns/rows, expected "
                          f"({expected['n_cols']}, {expected['n_rows']})")
+    blocks = {"x": np.array([x_pv, x_es, x_ic, x_inv, x_con]),
+              "p_peak": np.array(families.pop("p_peak"))}
+    # Copied so no reshape view keeps a second array alive with the instance.
+    blocks.update((family, np.array(cols).reshape(n_s, -1).copy())
+                  for family, cols in families.items())
     # Heuristic hint for the reference solver: a binary assignment that stays
     # feasible whenever grid supply alone can carry the load (import direction
     # open on both buses, battery held in the charging state). Used only to
     # seed an incumbent; optimality proofs never rely on it.
-    safe = {}
-    for index, name in enumerate(b.col_names):
-        if name.startswith("z_flow_") or name.startswith("i_z_flow_"):
-            safe[index] = 1.0
-        elif name.startswith("y_dch_"):
-            safe[index] = 0.0
+    safe = dict.fromkeys(blocks["z_flow"].ravel().tolist(), 1.0)
+    safe.update(dict.fromkeys(blocks["i_z_flow"].ravel().tolist(), 1.0))
+    if es_on:
+        safe.update(dict.fromkeys(blocks["y_dch"].ravel().tolist(), 0.0))
     instance = b.build(meta={
+        "blocks": blocks,
         "binary_safe_value": safe,
-        "scenarios": len(scenario_set.days),
+        "scenarios": n_s,
         "intervals": t_count,
         "case": case,
         "m_flow": m_flow,
@@ -295,21 +317,11 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
     return instance
 
 
-def _block(instance: MilpInstance, x: np.ndarray, name: str,
-           n_scenarios: int, t_count: int) -> np.ndarray:
-    out = np.zeros((n_scenarios, t_count))
-    symbol_map = instance.symbol_map
-    for s in range(n_scenarios):
-        for t in range(1, t_count + 1):
-            index = symbol_map.get(f"{name}_s{s}_t{t}")
-            if index is not None:
-                out[s, t - 1] = x[index]
-    return out
-
-
 def extract_solution(instance: MilpInstance, raw) -> SizingSolution:
     """Map a raw solver result back to named capacities and dispatch blocks.
 
+    The solution's cost breakdown comes from the audit's
+    ``recompute_cost_breakdown``, the one place that prices a solution.
     Infeasible results come back as an explicit infeasible solution, never
     a partial one. Unknown or unbounded statuses violate the solver
     contract for this model (it is bounded below by construction).
@@ -325,72 +337,51 @@ def extract_solution(instance: MilpInstance, raw) -> SizingSolution:
     x = np.asarray(raw.x, dtype=float)
     n_s = instance.meta["scenarios"]
     t_count = instance.meta["intervals"]
+    blocks = instance.meta["blocks"]
     scenario_set: ScenarioSet = instance.meta["scenario_set"]
-    catalog: DeviceCatalog = instance.meta["catalog"]
-    tariff: TariffPlan = instance.meta["tariff"]
 
-    capacities = {key: instance.value(x, f"x_{key}")
-                  for key in ("pv", "es", "ic", "inv", "con")}
-
-    soc = np.zeros((n_s, t_count + 1))
-    if case.allow_es:
-        for s in range(n_s):
-            for t in range(t_count + 1):
-                soc[s, t] = instance.value(x, "soc", s, t)
-    p_peak = np.array([instance.value(x, f"p_peak_s{s}") for s in range(n_s)])
+    def block(family: str, shape=(n_s, t_count)) -> np.ndarray:
+        return x[blocks[family]] if family in blocks else np.zeros(shape)
 
     grid = GridDispatch(
-        p_grid=_block(instance, x, "p_grid", n_s, t_count),
-        pv_output=_block(instance, x, "v_pv", n_s, t_count),
-        dch_ac=_block(instance, x, "dch_ac", n_s, t_count),
-        dch_dc=_block(instance, x, "dch_dc", n_s, t_count),
-        ch_ac=_block(instance, x, "ch_ac", n_s, t_count),
-        ch_dc=_block(instance, x, "ch_dc", n_s, t_count),
-        soc=soc,
-        flow_ac=_block(instance, x, "f_ac", n_s, t_count),
-        flow_dc_in=_block(instance, x, "f_dc_in", n_s, t_count),
-        flow_dc_out=_block(instance, x, "f_dc_out", n_s, t_count),
-        z_flow=_block(instance, x, "z_flow", n_s, t_count),
-        y_dch=_block(instance, x, "y_dch", n_s, t_count),
-        u_dch=_block(instance, x, "u_dch", n_s, t_count),
-        k_dch=_block(instance, x, "k_dch", n_s, t_count),
-        p_peak=p_peak,
+        p_grid=block("p_grid"),
+        pv_output=block("v_pv"),
+        dch_ac=block("dch_ac"),
+        dch_dc=block("dch_dc"),
+        ch_ac=block("ch_ac"),
+        ch_dc=block("ch_dc"),
+        soc=block("soc", (n_s, t_count + 1)),
+        flow_ac=block("f_ac"),
+        flow_dc_in=block("f_dc_in"),
+        flow_dc_out=block("f_dc_out"),
+        z_flow=block("z_flow"),
+        y_dch=block("y_dch"),
+        u_dch=block("u_dch"),
+        k_dch=block("k_dch"),
+        p_peak=block("p_peak"),
     )
     islanded = IslandedDispatch(
-        pv_output=_block(instance, x, "i_v_pv", n_s, t_count),
-        dch_ac=_block(instance, x, "i_dch_ac", n_s, t_count),
-        dch_dc=_block(instance, x, "i_dch_dc", n_s, t_count),
-        flow_ac=_block(instance, x, "i_f_ac", n_s, t_count),
-        flow_dc_in=_block(instance, x, "i_f_dc_in", n_s, t_count),
-        flow_dc_out=_block(instance, x, "i_f_dc_out", n_s, t_count),
-        z_flow=_block(instance, x, "i_z_flow", n_s, t_count),
-        shed_cl_ac=_block(instance, x, "shed_cl_ac", n_s, t_count),
-        shed_cl_dc=_block(instance, x, "shed_cl_dc", n_s, t_count),
-        shed_nl_ac=_block(instance, x, "shed_nl_ac", n_s, t_count),
-        shed_nl_dc=_block(instance, x, "shed_nl_dc", n_s, t_count),
+        pv_output=block("i_v_pv"),
+        dch_ac=block("i_dch_ac"),
+        dch_dc=block("i_dch_dc"),
+        flow_ac=block("i_f_ac"),
+        flow_dc_in=block("i_f_dc_in"),
+        flow_dc_out=block("i_f_dc_out"),
+        z_flow=block("i_z_flow"),
+        shed_cl_ac=block("shed_cl_ac"),
+        shed_cl_dc=block("shed_cl_dc"),
+        shed_nl_ac=block("shed_nl_ac"),
+        shed_nl_dc=block("shed_nl_dc"),
     )
-
-    energy = np.array([energy_charge(grid.p_grid[s], tariff) for s in range(n_s)])
-    demand = np.array([demand_charge(p_peak[s], tariff) for s in range(n_s)])
-    wear = np.array([degradation_cost(grid.dch_ac[s], grid.dch_dc[s],
-                                      grid.ch_ac[s], grid.ch_dc[s], catalog)
-                     for s in range(n_s)])
-    shed = [shedding_cost(islanded.shed_cl_ac[s], islanded.shed_cl_dc[s],
-                          islanded.shed_nl_ac[s], islanded.shed_nl_dc[s], catalog)
-            for s in range(n_s)]
-    breakdown = CostBreakdown(
-        investment=investment_cost(capacities, catalog),
-        energy_charges=annualize_expected(scenario_set, energy, "energy"),
-        demand_charges=annualize_expected(scenario_set, demand, "demand"),
-        degradation=annualize_expected(scenario_set, wear, "degradation"),
-        shed_critical=annualize_expected(scenario_set, [c for c, _ in shed], "shedding"),
-        shed_noncritical=annualize_expected(scenario_set, [n for _, n in shed],
-                                            "shedding"),
-    )
-    return SizingSolution(
+    solution = SizingSolution(
         case=case, status=raw.status, objective=float(raw.objective),
         gap=float(getattr(raw, "achieved_gap", 0.0) or 0.0),
-        capacities=capacities, grid=grid, islanded=islanded, breakdown=breakdown,
+        capacities=dict(zip(("pv", "es", "ic", "inv", "con"),
+                            x[blocks["x"]].tolist())),
+        grid=grid, islanded=islanded, breakdown=None,
         scenario_ids=tuple(day.id for day in scenario_set.days),
         soc_boundary=instance.meta["soc_boundary"],
     )
+    breakdown = recompute_cost_breakdown(solution, scenario_set,
+                                         instance.meta["catalog"], instance.meta["tariff"])
+    return replace(solution, breakdown=breakdown)

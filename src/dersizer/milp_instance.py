@@ -2,9 +2,10 @@
 
 A :class:`MilpInstance` is solver-agnostic: named, bounded columns (some
 binary), sparse rows with a sense and right-hand side, and a minimize
-objective. Column names double as the symbol map between matrix indices
-and the model's decision variables; indexed variables use the
-``name_s{s}_t{t}`` convention so they stay legal LP-format identifiers.
+objective. Names serve the LP-format export and lookups by name; indexed
+variables use the ``name_s{s}_t{t}`` convention so they stay legal
+LP-format identifiers. A model builder that needs its variables back by
+index records them itself (see ``meta["blocks"]`` of the sizing model).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class ModelBuilder:
 
     def __init__(self):
         self._col_names: list[str] = []
-        self._col_index: dict[str, int] = {}
+        self._col_set: set[str] = set()
         self._lower: list[float] = []
         self._upper: list[float] = []
         self._binary: list[bool] = []
@@ -40,7 +41,7 @@ class ModelBuilder:
 
     def add_col(self, name: str, lower: float = 0.0, upper: float = np.inf,
                 objective: float = 0.0, binary: bool = False) -> int:
-        if name in self._col_index:
+        if name in self._col_set:
             raise BuildError(f"duplicate column {name}")
         if binary and not (lower >= 0.0 and upper <= 1.0):
             raise BuildError(f"binary column {name} must have bounds within [0, 1]")
@@ -49,7 +50,7 @@ class ModelBuilder:
         index = len(self._col_names)
         name = sys.intern(name)  # names repeat across instances of one model
         self._col_names.append(name)
-        self._col_index[name] = index
+        self._col_set.add(name)
         self._lower.append(float(lower))
         self._upper.append(float(upper))
         self._binary.append(bool(binary))
@@ -77,18 +78,8 @@ class ModelBuilder:
         self._rhs.append(float(rhs))
         return row
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._col_index
-
-    def col(self, name: str) -> int:
-        return self._col_index[name]
-
     def upper(self, col: int) -> float:
         return self._upper[col]
-
-    @property
-    def col_names(self) -> tuple[str, ...]:
-        return tuple(self._col_names)
 
     @property
     def n_cols(self) -> int:
@@ -119,7 +110,7 @@ class ModelBuilder:
 
 @dataclass(frozen=True)
 class MilpInstance:
-    """Immutable standard-form minimize MILP with a name/index symbol map."""
+    """Immutable standard-form minimize MILP with named columns and rows."""
 
     col_names: tuple[str, ...]
     col_lower: np.ndarray
@@ -141,10 +132,6 @@ class MilpInstance:
         return len(self.row_names)
 
     @property
-    def symbol_map(self) -> dict[str, int]:
-        return {name: index for index, name in enumerate(self.col_names)}
-
-    @property
     def binary_indices(self) -> np.ndarray:
         return np.flatnonzero(self.col_binary)
 
@@ -152,14 +139,10 @@ class MilpInstance:
         """Column index of a symbol, optionally indexed by scenario/interval."""
         if s is not None:
             name = f"{name}_s{s}" + (f"_t{t}" if t is not None else "")
-        index = self.symbol_map.get(name)
-        if index is None:
-            raise KeyError(f"no column named {name}")
-        return index
-
-    def value(self, x: np.ndarray, name: str, s: int | None = None,
-              t: int | None = None) -> float:
-        return float(x[self.col(name, s, t)])
+        try:
+            return self.col_names.index(name)
+        except ValueError:
+            raise KeyError(f"no column named {name}") from None
 
     def validate(self) -> None:
         """Raise BuildError on any malformed piece of the instance."""

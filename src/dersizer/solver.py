@@ -357,10 +357,8 @@ def oracle_enumerate(instance: MilpInstance) -> SolveResult:
             bounds[col] = (value, value)
         if not feasible_fix:
             continue
-        bounds_arg = [(lo if np.isfinite(lo) else None,
-                       hi if np.isfinite(hi) else None) for lo, hi in bounds]
         res = linprog(instance.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq,
-                      b_eq=b_eq, bounds=bounds_arg, method="highs")
+                      b_eq=b_eq, bounds=bounds, method="highs")
         n_lp += 1
         if res.status == 0 and (best_obj is None or res.fun < best_obj - 1e-12):
             best_obj = float(res.fun)
@@ -403,6 +401,11 @@ def solve_external(instance: MilpInstance, options: SolveOptions) -> SolveResult
         raise SolverError("external backend reports unbounded; the sizing "
                           "model is bounded below, so the instance violates "
                           "the solver contract")
+    # scipy passes on any point HiGHS has, even after a solve error, so only
+    # status 0 (solved) and 1 (time or iteration limit) may report one.
+    if res.status not in (0, 1):
+        raise SolverError(f"external backend failed (status {res.status}): "
+                          f"{res.message}")
     if res.x is None:
         if res.status == 1:
             return SolveResult("time_limit", None, None, achieved_gap=np.inf,

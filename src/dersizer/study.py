@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audit import AuditReport, check_solution, recompute_cost_breakdown
+from .audit import AuditReport, check_solution
 from .data_model import (DeviceCatalog, LoadSplitSpec, ScenarioSet, TariffPlan,
                          packaged_profile_path, parse_profile_csv,
                          validate_scenario_set)
@@ -306,11 +306,10 @@ def run_study(config: StudyConfig) -> StudyOutcome:
             continue
         solution = extract_solution(instance, raw)
         audit = check_solution(solution, scenario_set, config.catalog, tariff)
-        breakdown = recompute_cost_breakdown(solution, scenario_set,
-                                             config.catalog, tariff)
         if not audit.ok:
             audit_flagged = True
-        outcomes[case_number] = CaseOutcome(case_number, solution, audit, breakdown)
+        outcomes[case_number] = CaseOutcome(case_number, solution, audit,
+                                            solution.breakdown)
 
         audit_path = out / f"audit_case{case_number}.txt"
         header = (f"case {case_number} status={solution.status} "

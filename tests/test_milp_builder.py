@@ -7,6 +7,7 @@ import pytest
 from dersizer import (CaseSpec, DeviceCatalog, ScenarioSet, SolveOptions,
                       TariffPlan, build_model, compute_big_m, extract_solution,
                       solve_lp, solve_milp, write_lp)
+from dersizer import milp_builder
 from dersizer.data_model import DayScenario
 from dersizer.errors import BuildError, SolverError
 from dersizer.milp_builder import expected_dimensions, linearize_product
@@ -82,7 +83,34 @@ def test_symbol_map_unique_per_index():
         for t in range(1, 4):
             assert sum(1 for n in names if n == f"{base}_s0_t{t}") == 1, base
     assert instance.col("x_pv") == 0
-    assert instance.col("p_grid", 0, 1) == instance.symbol_map["p_grid_s0_t1"]
+    assert instance.col_names[instance.col("p_grid", 0, 1)] == "p_grid_s0_t1"
+
+
+@pytest.mark.parametrize("soc_boundary", ["cyclic", 0.5])
+@pytest.mark.parametrize("case_number", [0, 1, 2, 3])
+def test_index_blocks_match_column_names(case_number, soc_boundary):
+    days = tuple(_flat_day(load=10.0 * (i + 1), t=3, probability=0.5, id=f"d{i}")
+                 for i in range(2))
+    case = CaseSpec.from_number(case_number)
+    instance = build_model(ScenarioSet(days=days), DeviceCatalog(), _tariff(3), case,
+                           soc_boundary=soc_boundary)
+    blocks, names = instance.meta["blocks"], instance.col_names
+    every = np.concatenate([index.ravel() for index in blocks.values()])
+    assert np.array_equal(np.sort(every), np.arange(instance.n_cols))
+    assert [names[j] for j in blocks["x"]] == ["x_pv", "x_es", "x_ic", "x_inv", "x_con"]
+    assert [names[j] for j in blocks["p_peak"]] == ["p_peak_s0", "p_peak_s1"]
+    assert ("soc" in blocks) == ("y_dch" in blocks) == case.allow_es
+    for family, index in blocks.items():
+        if family in ("x", "p_peak"):
+            continue
+        first = 0 if family == "soc" else 1
+        assert index.shape == (2, 3 + 1 - first), family
+        for (s, t), j in np.ndenumerate(index):
+            assert names[j] == f"{family}_s{s}_t{t + first}"
+    safe = instance.meta["binary_safe_value"]
+    assert sorted(safe) == instance.binary_indices.tolist()
+    assert all(safe[j] == (0.0 if names[j].startswith("y_dch_") else 1.0)
+               for j in safe)
 
 
 def test_case_flags_pin_capacity_bounds():
@@ -92,7 +120,7 @@ def test_case_flags_pin_capacity_bounds():
     assert base.col_upper[base.col("x_pv")] == 0.0
     assert base.col_upper[base.col("x_es")] == 0.0
     assert base.col_upper[base.col("x_inv")] == 0.0
-    assert "y_dch_s0_t1" not in base.symbol_map
+    assert "y_dch_s0_t1" not in base.col_names
     pv_only = build_model(scen, catalog, tariff, CaseSpec.from_number(1))
     assert pv_only.col_upper[pv_only.col("x_pv")] == 400.0
     assert pv_only.col_upper[pv_only.col("x_es")] == 0.0
@@ -192,6 +220,31 @@ def test_zero_load_gives_zero_objective(case_number):
     solution = extract_solution(instance, result)
     assert all(v == pytest.approx(0.0, abs=1e-9)
                for v in solution.capacities.values())
+
+
+def test_optimum_is_insensitive_to_doubled_big_m(monkeypatch):
+    options = SolveOptions(relative_gap=1e-9, backend="reference")
+    cases = [(seed, number) for seed in range(4) for number in range(4)]
+    baseline = {}
+    for seed, number in cases:
+        scen, catalog, tariff = tiny_sizing_inputs(seed)
+        instance = build_model(scen, catalog, tariff, CaseSpec.from_number(number))
+        baseline[seed, number] = (instance.meta, solve_milp(instance, options))
+
+    def doubled(*args):
+        return {key: 2.0 * value for key, value in compute_big_m(*args).items()}
+
+    monkeypatch.setattr(milp_builder, "compute_big_m", doubled)
+    for seed, number in cases:
+        scen, catalog, tariff = tiny_sizing_inputs(seed)
+        instance = build_model(scen, catalog, tariff, CaseSpec.from_number(number))
+        meta, expected = baseline[seed, number]
+        assert instance.meta["m_flow"] == 2.0 * meta["m_flow"]
+        assert instance.meta["m_es"] == 2.0 * meta["m_es"]
+        result = solve_milp(instance, options)
+        assert result.status == expected.status, (seed, number)
+        assert result.objective == pytest.approx(expected.objective, rel=1e-9), \
+            (seed, number)
 
 
 def test_extract_infeasible_is_explicit():

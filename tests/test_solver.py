@@ -217,3 +217,18 @@ def test_warm_start_other_errors_propagate(monkeypatch):
     _fail_warm_starts(monkeypatch, ValueError("injected"))
     with pytest.raises(ValueError, match="injected"):
         solve_milp(inst, SolveOptions(relative_gap=1e-6, backend="reference"))
+
+
+def test_external_status_with_a_point_is_not_optimal(monkeypatch):
+    import scipy.optimize
+    from scipy.optimize import OptimizeResult
+    inst, _ = _tiny_instance(0)
+
+    def failed_milp(**kwargs):
+        return OptimizeResult(status=4, message="injected solve error",
+                              x=np.zeros(inst.n_cols), fun=0.0, mip_gap=0.0,
+                              mip_dual_bound=0.0, mip_node_count=1, success=False)
+
+    monkeypatch.setattr(scipy.optimize, "milp", failed_milp)
+    with pytest.raises(SolverError, match="injected solve error"):
+        solve_milp(inst, SolveOptions(backend="external"))
