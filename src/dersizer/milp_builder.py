@@ -98,10 +98,10 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
     within the usable band) or a fraction of the battery's energy capacity
     fixing the start-of-day state.
 
-    ``meta["blocks"]`` maps each variable family, named by its column-name
-    prefix, to its column indices: ``x`` (pv, es, ic, inv, con), ``p_peak``
-    (S,), ``soc`` (S, T+1) and every other family (S, T). Families the case
-    does not build are absent.
+    ``meta["families"]`` names the variable families in build order, each
+    by its column-name prefix, and ``meta["col_family"]`` gives every
+    column's position in that tuple as one int8 code per column;
+    :func:`variable_blocks` turns them into index arrays.
     """
     report = validate_scenario_set(scenario_set)
     if not report.ok:
@@ -133,6 +133,7 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
 
     # Column indices of every variable family, in (scenario, interval) order.
     families: dict[str, list[int]] = defaultdict(list)
+    families["x"] = [x_pv, x_es, x_ic, x_inv, x_con]
 
     def add(family: str, st: str, lower: float = 0.0, upper: float = np.inf,
             objective: float = 0.0, binary: bool = False) -> int:
@@ -286,22 +287,12 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
     if (b.n_cols, b.n_rows) != (expected["n_cols"], expected["n_rows"]):
         raise BuildError(f"built ({b.n_cols}, {b.n_rows}) columns/rows, expected "
                          f"({expected['n_cols']}, {expected['n_rows']})")
-    blocks = {"x": np.array([x_pv, x_es, x_ic, x_inv, x_con]),
-              "p_peak": np.array(families.pop("p_peak"))}
-    # Copied so no reshape view keeps a second array alive with the instance.
-    blocks.update((family, np.array(cols).reshape(n_s, -1).copy())
-                  for family, cols in families.items())
-    # Heuristic hint for the reference solver: a binary assignment that stays
-    # feasible whenever grid supply alone can carry the load (import direction
-    # open on both buses, battery held in the charging state). Used only to
-    # seed an incumbent; optimality proofs never rely on it.
-    safe = dict.fromkeys(blocks["z_flow"].ravel().tolist(), 1.0)
-    safe.update(dict.fromkeys(blocks["i_z_flow"].ravel().tolist(), 1.0))
-    if es_on:
-        safe.update(dict.fromkeys(blocks["y_dch"].ravel().tolist(), 0.0))
+    col_family = np.empty(b.n_cols, dtype=np.int8)
+    for code, cols in enumerate(families.values()):
+        col_family[cols] = code
     instance = b.build(meta={
-        "blocks": blocks,
-        "binary_safe_value": safe,
+        "families": tuple(families),
+        "col_family": col_family,
         "scenarios": n_s,
         "intervals": t_count,
         "case": case,
@@ -313,8 +304,34 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
         "catalog": catalog,
         "tariff": tariff,
     })
+    # Heuristic hint for the reference solver: a binary assignment that stays
+    # feasible whenever grid supply alone can carry the load (import direction
+    # open on both buses, battery held in the charging state). Used only to
+    # seed an incumbent; optimality proofs never rely on it.
+    blocks = variable_blocks(instance)
+    safe = dict.fromkeys(blocks["z_flow"].ravel().tolist(), 1.0)
+    safe.update(dict.fromkeys(blocks["i_z_flow"].ravel().tolist(), 1.0))
+    if es_on:
+        safe.update(dict.fromkeys(blocks["y_dch"].ravel().tolist(), 0.0))
+    instance.meta["binary_safe_value"] = safe
     instance.validate()
     return instance
+
+
+def variable_blocks(instance: MilpInstance) -> dict[str, np.ndarray]:
+    """Column indices of each variable family of a sizing model.
+
+    ``x`` is (5,) in pv, es, ic, inv, con order, ``p_peak`` is (S,), ``soc``
+    is (S, T+1) and every other family is (S, T), all in (scenario,
+    interval) order. Families the case does not build are absent.
+    """
+    codes = instance.meta["col_family"]
+    n_s = instance.meta["scenarios"]
+    blocks = {}
+    for code, family in enumerate(instance.meta["families"]):
+        cols = np.flatnonzero(codes == code)
+        blocks[family] = cols if family in ("x", "p_peak") else cols.reshape(n_s, -1)
+    return blocks
 
 
 def extract_solution(instance: MilpInstance, raw) -> SizingSolution:
@@ -337,7 +354,7 @@ def extract_solution(instance: MilpInstance, raw) -> SizingSolution:
     x = np.asarray(raw.x, dtype=float)
     n_s = instance.meta["scenarios"]
     t_count = instance.meta["intervals"]
-    blocks = instance.meta["blocks"]
+    blocks = variable_blocks(instance)
     scenario_set: ScenarioSet = instance.meta["scenario_set"]
 
     def block(family: str, shape=(n_s, t_count)) -> np.ndarray:

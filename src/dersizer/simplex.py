@@ -7,15 +7,34 @@ every ``REFACTOR_INTERVAL`` pivots. The eta file is a dense block of eta
 columns with the inverse of its small triangular coupling matrix, so a
 solve applies every eta at once with two small matrix products instead of
 one Python step per eta. Entering columns are read straight from the CSC
-arrays of the standard form. Phase 1 minimizes the total bound violation of
-the basic variables with a piecewise-linear composite objective, which
-lets it start from any basis (cold logical start or a warm basis from a
-related solve). Pricing is Dantzig with a Bland fallback that engages
-when the objective stalls, so the method terminates on degenerate models.
+arrays of the standard form.
+
+Primal loop. Phase 1 minimizes the total bound violation of the basic
+variables with a piecewise-linear composite objective, which lets it start
+from any basis (cold logical start or a warm basis from a related solve).
+Pricing is Dantzig with a Bland fallback that engages when the objective
+stalls, so the method terminates on degenerate models.
+
+Warm-start dual phase. A warm basis from an optimal parent solve keeps its
+reduced costs when only column bounds change (the rounding dive and the
+branch-and-bound nodes), so its basic values are the only thing that may be
+wrong. When no movable nonbasic column is dual infeasible, a bounded-variable
+dual simplex runs first. Each step leaves on the row of the largest bound
+violation (lowest row on ties), forms that row of ``B^-1 N`` from one
+``btran`` and one product with the transposed matrix, and enters by a
+Harris ratio test: among the movable nonbasic columns whose dual ratio lies
+within the bound relaxed by ``tol_opt``, the largest pivot magnitude, then
+the lowest index. No eligible column on a fresh factorization proves the LP
+infeasible. Reduced costs are updated along the row and recomputed at each
+refactorization. Once the basic values are feasible the primal loop takes
+over and normally confirms optimality without a pivot. The dual phase is
+skipped for cold starts and for warm bases that are not dual feasible, and
+it hands over to the primal loop early if its objective stalls for
+``STALL_LIMIT`` iterations.
 
 Tolerances follow the package contract: primal feasibility and dual
 optimality both 1e-7. Determinism: every tie in pricing and in the ratio
-test breaks by a fixed rule (largest magnitude, then lowest index), so
+tests breaks by a fixed rule (largest magnitude, then lowest index), so
 identical inputs give identical bases.
 """
 
@@ -197,7 +216,8 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
     if max_iter is None:
         max_iter = 200 * (m + form.n_struct) + 20_000
 
-    if basis is None or col_status is None:
+    warm = basis is not None and col_status is not None
+    if not warm:
         basis, status = _cold_start(form, l_full, u_full)
     else:
         basis = np.array(basis, dtype=np.int64)
@@ -221,19 +241,144 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
         resid = form.rhs - form.matrix @ x
         x[basis] = factor.ftran(resid)
 
+    def refactor():
+        factor.refactor(basis)
+        recompute_basics()
+
+    def entering_column(j):
+        """``B^-1 a_j``, with ``a_j`` read straight from the CSC arrays."""
+        start, stop = indptr[j], indptr[j + 1]
+        col = np.zeros(m)
+        col[indices[start:stop]] = data[start:stop]
+        return factor.ftran(col)
+
+    def refused(r, j_in, w):
+        """True, after a refactor for the caller to retry, when ``|w[r]|`` is
+        below ``PIVOT_TOL``; on a fresh factor that raises instead."""
+        if abs(w[r]) >= PIVOT_TOL:
+            return False
+        if factor.age:
+            refactor()
+            return True
+        raise NumericalError(f"pivot {w[r]:.3e} too small on column "
+                             f"{j_in}, row {r}")
+
+    def pivot(r, j_in, w, step, leaves_upper):
+        """Move ``j_in`` by ``step`` along ``w = B^-1 a_in`` into basis row ``r``;
+        the leaving column lands on its upper bound when ``leaves_upper``."""
+        j_out = int(basis[r])
+        x[basis] -= step * w
+        x[j_in] += step
+        x[j_out] = u_full[j_out] if leaves_upper else l_full[j_out]
+        set_status(j_out, AT_UPPER if leaves_upper else AT_LOWER)
+        set_status(j_in, BASIC)
+        basis[r] = j_in
+        c_b[r], l_b[r], u_b[r] = c_full[j_in], l_full[j_in], u_full[j_in]
+        factor.update(r, w)
+        if factor.age >= REFACTOR_INTERVAL:
+            refactor()
+
+    def reduced_costs():
+        return c_full - form.matrix_t @ factor.btran(c_b)
+
+    def time_up():
+        return deadline is not None and time.perf_counter() > deadline
+
+    def stopped(kind):
+        return LpResult(kind, None, None, basis.copy(), status.copy(), iterations)
+
+    def count_iteration():
+        nonlocal iterations
+        iterations += 1
+        if iterations > max_iter:
+            raise NumericalError(f"iteration limit {max_iter} reached "
+                                 f"(m={m}, n={form.n_struct})")
+
+    def dual_phase():
+        """Dual simplex from a dual feasible warm basis to primal feasibility.
+
+        Returns an ``LpResult`` when the solve ends here (``infeasible`` or
+        ``time_limit``), or None to hand the basis to the primal loop: when
+        the basic values are feasible, when the warm basis is not dual
+        feasible, or when the dual objective stalls for ``STALL_LIMIT``
+        iterations.
+        """
+        d = reduced_costs()
+        if np.minimum(d * rate_up, d * rate_dn).min() < -tol_opt:
+            return None
+        unit = np.zeros(m)
+        stall, last_merit = 0, -np.inf
+        while True:
+            if time_up():
+                return stopped("time_limit")
+            x_b = x[basis]
+            violation = np.maximum(l_b - x_b, x_b - u_b)
+            r = int(np.argmax(violation))
+            if violation[r] <= tol_feas:
+                return None
+            merit = float(c_full @ x)  # the dual objective: rises or stalls
+            if merit > last_merit + 1e-10 * max(1.0, abs(last_merit)):
+                stall = 0
+            else:
+                stall += 1
+                if stall > STALL_LIMIT:
+                    return None
+            last_merit = merit
+
+            # Row r of B^-1 N, signed so that a > 0 on a column that moves
+            # the leaving value toward its violated bound by rising.
+            above = bool(x_b[r] > u_b[r])
+            unit[r] = 1.0
+            rho = factor.btran(unit)
+            unit[r] = 0.0
+            a = form.matrix_t @ rho
+            if not above:
+                a = -a
+            gain = np.maximum(a * rate_up, a * rate_dn)
+            cand = np.flatnonzero(gain > PIVOT_TOL)
+            if cand.size == 0:
+                if factor.age:  # declare infeasible only on a fresh factor
+                    refactor()
+                    d = reduced_costs()
+                    continue
+                return stopped("infeasible")
+            # Harris ratio test: the largest |a| among the columns whose dual
+            # ratio lies within the bound relaxed by tol_opt.
+            ratio = d[cand] / a[cand]
+            relaxed = float((ratio + tol_opt / gain[cand]).min())
+            near = cand[ratio <= relaxed]
+            j_in = int(near[np.argmax(gain[near])])
+            t = max(float(d[j_in] / a[j_in]), 0.0)
+
+            count_iteration()
+            w = entering_column(j_in)
+            if refused(r, j_in, w):
+                d = reduced_costs()
+                continue
+            target = u_b[r] if above else l_b[r]
+            pivot(r, j_in, w, (x_b[r] - target) / w[r], above)
+            if factor.age == 0:  # refactored: recompute rather than update
+                d = reduced_costs()
+            else:
+                d -= t * a
+                d[basis] = 0.0
+
     recompute_basics()
 
     c_b, l_b, u_b = c_full[basis], l_full[basis], u_full[basis]
     iterations = 0
+    if warm:
+        ended = dual_phase()
+        if ended is not None:
+            return ended
     bland = False
     stall = 0
     last_merit = np.inf
     last_phase = None
 
     while True:
-        if deadline is not None and time.perf_counter() > deadline:
-            return LpResult("time_limit", None, None, basis.copy(), status.copy(),
-                            iterations)
+        if time_up():
+            return stopped("time_limit")
         x_b = x[basis]
         below = x_b < l_b - tol_feas
         above = x_b > u_b + tol_feas
@@ -244,8 +389,7 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
             reduced = -(form.matrix_t @ pi)
             merit = float((l_b - x_b)[below].sum() + (x_b - u_b)[above].sum())
         else:
-            pi = factor.btran(c_b)
-            reduced = c_full - form.matrix_t @ pi
+            reduced = reduced_costs()
             merit = float(c_full @ x)
 
         if phase1 is not last_phase:
@@ -266,12 +410,10 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
         j_in = int(np.argmin(score))
         if score[j_in] >= -tol_opt:
             if phase1:
-                return LpResult("infeasible", None, None, basis.copy(),
-                                status.copy(), iterations)
+                return stopped("infeasible")
             scale = max(1.0, float(np.abs(form.rhs).max(initial=0.0)))
             if _max_residual(form, x) > 1e-6 * scale:
-                factor.refactor(basis)
-                recompute_basics()
+                refactor()
                 resid = _max_residual(form, x)
                 if resid > 1e-6 * scale:
                     raise NumericalError(
@@ -286,10 +428,7 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
         move_up = reduced[j_in] < 0.0
         sigma = 1.0 if move_up else -1.0
 
-        start, stop = indptr[j_in], indptr[j_in + 1]
-        col = np.zeros(m)
-        col[indices[start:stop]] = data[start:stop]
-        w = factor.ftran(col)
+        w = entering_column(j_in)
         rate = -sigma * w  # change of basic values per unit of entering move
 
         theta, blockers = _ratio_test(x_b, l_b, u_b, rate, below, above, phase1)
@@ -305,10 +444,7 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
             return LpResult("unbounded", None, None, basis.copy(), status.copy(),
                             iterations, ray=ray)
 
-        iterations += 1
-        if iterations > max_iter:
-            raise NumericalError(f"iteration limit {max_iter} reached "
-                                 f"(m={m}, n={form.n_struct})")
+        count_iteration()
 
         if theta is None or theta_own < theta - TIE_TOL:
             # Bound flip: the entering column crosses to its other bound.
@@ -322,29 +458,12 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
             r = int(blockers[np.argmin(basis[blockers])])
         else:
             r = int(blockers[np.argmax(np.abs(w[blockers]))])
-        if abs(w[r]) < PIVOT_TOL:
-            if factor.age:
-                factor.refactor(basis)
-                recompute_basics()
-                continue
-            raise NumericalError(f"pivot {w[r]:.3e} too small on column "
-                                 f"{j_in}, row {r}")
-
-        j_out = int(basis[r])
-        x[basis] = x_b + rate * theta
-        x[j_in] = x[j_in] + sigma * theta
+        if refused(r, j_in, w):
+            continue
         hit_upper = rate[r] > 0 and not (phase1 and below[r])
         if phase1 and above[r]:
             hit_upper = True
-        x[j_out] = u_full[j_out] if hit_upper else l_full[j_out]
-        set_status(j_out, AT_UPPER if hit_upper else AT_LOWER)
-        set_status(j_in, BASIC)
-        basis[r] = j_in
-        c_b[r], l_b[r], u_b[r] = c_full[j_in], l_full[j_in], u_full[j_in]
-        factor.update(r, w)
-        if factor.age >= REFACTOR_INTERVAL:
-            factor.refactor(basis)
-            recompute_basics()
+        pivot(r, j_in, w, sigma * theta, hit_upper)
 
 
 def _max_residual(form: StandardForm, x: np.ndarray) -> float:

@@ -10,7 +10,7 @@ from dersizer import (CaseSpec, DeviceCatalog, ScenarioSet, SolveOptions,
 from dersizer import milp_builder
 from dersizer.data_model import DayScenario
 from dersizer.errors import BuildError, SolverError
-from dersizer.milp_builder import expected_dimensions, linearize_product
+from dersizer.milp_builder import expected_dimensions, linearize_product, variable_blocks
 from dersizer.milp_instance import EQ, LE, ModelBuilder
 from dersizer.solver import SolveResult
 
@@ -94,7 +94,7 @@ def test_index_blocks_match_column_names(case_number, soc_boundary):
     case = CaseSpec.from_number(case_number)
     instance = build_model(ScenarioSet(days=days), DeviceCatalog(), _tariff(3), case,
                            soc_boundary=soc_boundary)
-    blocks, names = instance.meta["blocks"], instance.col_names
+    blocks, names = variable_blocks(instance), instance.col_names
     every = np.concatenate([index.ravel() for index in blocks.values()])
     assert np.array_equal(np.sort(every), np.arange(instance.n_cols))
     assert [names[j] for j in blocks["x"]] == ["x_pv", "x_es", "x_ic", "x_inv", "x_con"]

@@ -1,5 +1,7 @@
 """LP core: cross-checked against scipy's independent implementation."""
 
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -115,18 +117,55 @@ def test_random_lp_matches_independent_solver(seed):
     assert mine.objective == pytest.approx(ref.fun, rel=1e-6, abs=1e-6)
 
 
-def test_warm_start_matches_cold_after_bound_change():
-    inst = _random_lp(3)
+def _row_corner_fixed(inst):
+    """Bounds that pin every column of one row at the box corner violating it.
+
+    The fixture's columns all have lower bound 0.
+    """
+    dense = inst.matrix.toarray()
+    top = np.where(dense > 0, dense, 0.0) @ inst.col_upper - inst.rhs
+    bottom = inst.rhs - np.where(dense < 0, dense, 0.0) @ inst.col_upper
+    senses = np.array(inst.row_sense)
+    room = np.where(senses == LE, top, np.where(senses == GE, bottom,
+                                                np.maximum(top, bottom)))
+    i = int(np.argmax(room))
+    assert room[i] > 1.0, "every random LP has a row its box can violate"
+    push_up = senses[i] == LE or (senses[i] == EQ and top[i] >= bottom[i])
+    to_upper = dense[i] > 0 if push_up else dense[i] < 0
+    to_lower = (dense[i] != 0) & ~to_upper
+    lower, upper = inst.col_lower.copy(), inst.col_upper.copy()
+    lower[to_upper] = upper[to_upper]
+    upper[to_lower] = lower[to_lower]
+    return lower, upper
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_warm_start_matches_cold_after_bound_change(seed):
+    inst = _random_lp(seed)
     form = standardize(inst)
     first = simplex_solve(form, inst.objective, inst.col_lower, inst.col_upper)
     assert first.status == "optimal"
-    tightened = inst.col_upper.copy()
-    tightened[0] = min(tightened[0], first.x[0] * 0.5 + 1e-3)
-    warm = simplex_solve(form, inst.objective, inst.col_lower, tightened,
-                         basis=first.basis, col_status=first.col_status)
-    cold = simplex_solve(form, inst.objective, inst.col_lower, tightened)
-    assert warm.status == cold.status == "optimal"
-    assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+    n = inst.n_cols
+    one = inst.col_upper.copy()
+    j = int(np.argmax(first.x[:n]))
+    one[j] = 0.5 * first.x[j]
+    fixed_lo, fixed_hi = inst.col_lower.copy(), inst.col_upper.copy()
+    interior = np.arange(0, n, 2)
+    fixed_lo[interior] = fixed_hi[interior] = \
+        0.5 * (first.x[interior] + 0.5 * inst.col_upper[interior])
+    changes = [(inst.col_lower, one), (fixed_lo, fixed_hi), _row_corner_fixed(inst)]
+    for lower, upper in changes:
+        warm = simplex_solve(form, inst.objective, lower, upper,
+                             basis=first.basis, col_status=first.col_status)
+        cold = simplex_solve(form, inst.objective, lower, upper)
+        assert warm.status == cold.status
+        if cold.status == "optimal":
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+    assert cold.status == "infeasible"  # the row corner, solved last
+    late = simplex_solve(form, inst.objective, inst.col_lower, one,
+                         basis=first.basis, col_status=first.col_status,
+                         deadline=time.perf_counter() - 1.0)
+    assert late.status == "time_limit"
 
 
 def test_degenerate_duplicate_rows_terminate():
