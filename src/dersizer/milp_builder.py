@@ -23,6 +23,18 @@ terms; state-of-charge defaults to a cyclic day boundary with the
 boundary column free inside the usable band (a fixed starting fraction is
 available instead).
 
+Layout. The builder declares each column family and each row family once,
+as a block over (scenario, interval), and fills its bounds, costs,
+right-hand sides and coefficients with one numpy operation per family or
+term. ``_layout`` fixes the order: the five sizing columns come first, then
+scenario by scenario its billed peak, its T+1 states of charge and, for
+each interval in turn, one column of every dispatch family. Rows follow
+the same scheme: per scenario the SoC band per state, the day boundary,
+then per interval one row of every family. Names are
+``{family}_s{s}_t{t}`` (``{family}_s{s}`` for one-per-scenario families).
+Exact-zero coefficients are dropped, so a night interval's PV cap has no
+``x_pv`` entry.
+
 ``build_model`` is a pure function and instances are immutable once
 built, so models for different cases may be built and solved
 concurrently.
@@ -30,15 +42,16 @@ concurrently.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import sys
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .audit import recompute_cost_breakdown
 from .data_model import DeviceCatalog, ScenarioSet, TariffPlan, validate_scenario_set
 from .errors import BuildError, SolverError
-from .milp_instance import EQ, LE, GE, MilpInstance, ModelBuilder
+from .milp_instance import EQ, GE, LE, MilpInstance
 from .solution import CaseSpec, GridDispatch, IslandedDispatch, SizingSolution
 
 
@@ -69,24 +82,33 @@ def compute_big_m(scenario_set: ScenarioSet, catalog: DeviceCatalog,
     return {"m_flow": m_flow, "m_es": catalog.es_max}
 
 
-def linearize_product(builder: ModelBuilder, x_col: int, y_col: int, m: float,
-                      tag: str) -> tuple[int, int, tuple[int, ...]]:
-    """Add columns and rows making ``u = x * y`` exact for binary ``y``.
+_X_NAMES = ("x_pv", "x_es", "x_ic", "x_inv", "x_con")
 
-    Emits ``u = x - k``, ``u <= m*y`` and ``k <= m*(1-y)`` with both
-    auxiliaries bounded in [0, m]; at any feasible point with integral
-    ``y`` this forces ``u`` to the product exactly. ``m`` must dominate
-    the upper bound of ``x`` or feasible points would be cut off.
+
+def _layout(start: int, n_s: int,
+            sections: list[tuple[tuple[str, ...], int | None, int]]):
+    """Index arrays and names of families laid out scenario by scenario.
+
+    A section ``(families, first, count)`` holds, in each scenario,
+    ``count`` steps of one item per family in turn. Step ``i`` is interval
+    ``first + i``, named ``{family}_s{s}_t{first + i}``, or the scenario
+    itself (``{family}_s{s}``) when ``first`` is None. Scenario ``s`` holds
+    its sections in order and follows scenario ``s - 1``; the first item
+    has index ``start``. Returns each family's (S, count) index array and
+    the interned names in index order.
     """
-    x_upper = builder.upper(x_col)
-    if np.isfinite(x_upper) and m < x_upper - 1e-12:
-        raise BuildError(f"{tag}: big-M {m} is below the upper bound {x_upper} of x")
-    u = builder.add_col(f"u_{tag}", 0.0, m)
-    k = builder.add_col(f"k_{tag}", 0.0, m)
-    r1 = builder.add_row(f"udef_{tag}", [(u, 1.0), (x_col, -1.0), (k, 1.0)], EQ, 0.0)
-    r2 = builder.add_row(f"uon_{tag}", [(u, 1.0), (y_col, -m)], LE, 0.0)
-    r3 = builder.add_row(f"koff_{tag}", [(k, 1.0), (y_col, m)], LE, m)
-    return u, k, (r1, r2, r3)
+    width = sum(len(families) * count for families, _, count in sections)
+    index, offset = {}, start
+    for families, _, count in sections:
+        steps = width * np.arange(n_s)[:, None] + len(families) * np.arange(count)
+        for pos, family in enumerate(families):
+            index[family] = steps + offset + pos
+        offset += len(families) * count
+    names = (family + tag for s in range(n_s) for families, first, count in sections
+             for tag in ([f"_s{s}"] if first is None else
+                         [f"_s{s}_t{t}" for t in range(first, first + count)])
+             for family in families)
+    return index, tuple(map(sys.intern, names))  # names repeat across instances
 
 
 def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
@@ -113,7 +135,8 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
                 catalog.eta_ch, catalog.eta_dch):
         if eta <= 0:
             raise BuildError("efficiencies must be positive")
-    if isinstance(soc_boundary, str):
+    cyclic = isinstance(soc_boundary, str)
+    if cyclic:
         if soc_boundary != "cyclic":
             raise BuildError(f"unknown soc boundary {soc_boundary!r}")
     elif not 0.0 <= float(soc_boundary) <= 1.0:
@@ -123,197 +146,194 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
     m_flow = big_m["m_flow"] if big_m["m_flow"] > 0 else 1.0
     m_es = big_m["m_es"]
     es_on, pv_on = case.allow_es, case.allow_pv
+    days = scenario_set.days
+    n_s = len(days)
 
-    b = ModelBuilder()
-    x_pv = b.add_col("x_pv", 0.0, catalog.pv_max if pv_on else 0.0, catalog.c_pv)
-    x_es = b.add_col("x_es", 0.0, catalog.es_max if es_on else 0.0, catalog.c_es)
-    x_ic = b.add_col("x_ic", 0.0, np.inf, catalog.c_ic)
-    x_inv = b.add_col("x_inv", 0.0, np.inf if es_on else 0.0, catalog.c_inv)
-    x_con = b.add_col("x_con", 0.0, np.inf, catalog.c_con)
+    # Columns: the five sizing variables, then per scenario its billed peak,
+    # its T+1 states of charge and, per interval, the dispatch families.
+    dispatch = ("p_grid", "v_pv", "f_ac", "f_dc_in", "f_dc_out", "z_flow",
+                *(("dch_ac", "dch_dc", "ch_ac", "ch_dc", "y_dch", "u_dch", "k_dch")
+                  if es_on else ()),
+                "i_v_pv", "i_f_ac", "i_f_dc_in", "i_f_dc_out", "i_z_flow",
+                "shed_cl_ac", "shed_cl_dc", "shed_nl_ac", "shed_nl_dc",
+                *(("i_dch_ac", "i_dch_dc") if es_on else ()))
+    col_sections = [(("p_peak",), None, 1),
+                    *([(("soc",), 0, t_count + 1)] if es_on else []),
+                    (dispatch, 1, t_count)]
+    c, names = _layout(len(_X_NAMES), n_s, col_sections)  # c[family]: column indices
+    col_names = _X_NAMES + names
+    n_cols = len(col_names)
+    x_pv, x_es, x_ic, x_inv, x_con = range(len(_X_NAMES))
 
-    # Column indices of every variable family, in (scenario, interval) order.
-    families: dict[str, list[int]] = defaultdict(list)
-    families["x"] = [x_pv, x_es, x_ic, x_inv, x_con]
+    series = {attr: np.array([getattr(day, attr) for day in days])
+              for attr in ("cl_ac", "cl_dc", "nl_ac", "nl_dc", "pv_availability")}
+    probability = np.array([day.probability for day in days])[:, None]
+    w_day = probability * scenario_set.annual_day_weight
+    w_dem = probability * scenario_set.annual_demand_weight
 
-    def add(family: str, st: str, lower: float = 0.0, upper: float = np.inf,
-            objective: float = 0.0, binary: bool = False) -> int:
-        index = b.add_col(f"{family}_{st}", lower, upper, objective, binary)
-        families[family].append(index)
-        return index
+    lower = np.zeros(n_cols)
+    upper = np.full(n_cols, np.inf)
+    objective = np.zeros(n_cols)
+    col_binary = np.zeros(n_cols, dtype=bool)
+    sizing = slice(len(_X_NAMES))
+    upper[sizing] = (catalog.pv_max if pv_on else 0.0, catalog.es_max if es_on else 0.0,
+                     np.inf, np.inf if es_on else 0.0, np.inf)
+    objective[sizing] = (catalog.c_pv, catalog.c_es, catalog.c_ic, catalog.c_inv,
+                         catalog.c_con)
+    upper[c["p_peak"]] = tariff.peak_cap
+    objective[c["p_peak"]] = w_dem * tariff.demand_price
+    objective[c["p_grid"]] = w_day * tariff.energy_price
+    lower[c["f_ac"]] = lower[c["i_f_ac"]] = -np.inf
+    for family in ("z_flow", "i_z_flow", "y_dch"):
+        if family in c:
+            upper[c[family]] = 1.0
+            col_binary[c[family]] = True
+    for load, voll in (("cl_ac", catalog.voll_cl), ("cl_dc", catalog.voll_cl),
+                       ("nl_ac", catalog.voll_nl), ("nl_dc", catalog.voll_nl)):
+        upper[c[f"shed_{load}"]] = series[load]
+        objective[c[f"shed_{load}"]] = w_day * voll
+    if es_on:
+        # The product rows below are exact only while M covers x_es.
+        if m_es < upper[x_es] - 1e-12:
+            raise BuildError(f"big-M {m_es} is below the upper bound {upper[x_es]} of x_es")
+        upper[c["u_dch"]] = upper[c["k_dch"]] = m_es
+        for family in ("dch_ac", "dch_dc", "ch_ac", "ch_dc"):
+            objective[c[family]] = w_day * catalog.c_deg
 
+    # Rows: (family, sense, rhs, terms), each term (columns, coefficient),
+    # broadcast over the family's (S, count) rows.
+    ac_load = series["cl_ac"] + series["nl_ac"]
+    dc_load = series["cl_dc"] + series["nl_dc"]
+    avail = series["pv_availability"]
+    eta_ic, eta_inv, eta_con = catalog.eta_ic, catalog.eta_inv, catalog.eta_con
     rho_cap = catalog.rho_ep  # kWh of energy capacity per kW of rating
+    if es_on:
+        soc, u, k, y = c["soc"], c["u_dch"], c["k_dch"], c["y_dch"]
+        dch_ac, dch_dc, ch_ac, ch_dc = c["dch_ac"], c["dch_dc"], c["ch_ac"], c["ch_dc"]
+        i_dch_ac, i_dch_dc = c["i_dch_ac"], c["i_dch_dc"]
+        band = [("soc_lo", GE, 0.0, [(soc, 1.0), (x_es, -catalog.alpha_min * rho_cap)]),
+                ("soc_hi", LE, 0.0, [(soc, 1.0), (x_es, -catalog.alpha_max * rho_cap)])]
+        if cyclic:
+            boundary = [("soc_cycle", EQ, 0.0, [(soc[:, :1], 1.0), (soc[:, -1:], -1.0)])]
+        else:
+            boundary = [("soc_start", EQ, 0.0, [(soc[:, :1], 1.0),
+                                                (x_es, -float(soc_boundary) * rho_cap)])]
+        # Exact product u = x_es * y: u = x_es - k, u <= M y, k <= M (1 - y).
+        product = [("udef_dch", EQ, 0.0, [(u, 1.0), (x_es, -1.0), (k, 1.0)]),
+                   ("uon_dch", LE, 0.0, [(u, 1.0), (y, -m_es)]),
+                   ("koff_dch", LE, m_es, [(k, 1.0), (y, m_es)])]
+        battery_rows = [
+            ("soc_step", EQ, 0.0, [(soc[:, 1:], 1.0), (soc[:, :-1], -1.0),
+                                   (ch_ac, -catalog.eta_ch), (ch_dc, -catalog.eta_ch),
+                                   (dch_ac, 1.0 / catalog.eta_dch),
+                                   (dch_dc, 1.0 / catalog.eta_dch)]),
+            ("dch_cap", LE, 0.0, [(dch_ac, 1.0), (dch_dc, 1.0), (u, -1.0)]),
+            ("ch_cap", LE, 0.0, [(ch_ac, 1.0), (ch_dc, 1.0), (x_es, -1.0), (u, 1.0)])]
+        islanded_battery = [
+            ("i_dch_power", LE, 0.0, [(i_dch_ac, 1.0), (i_dch_dc, 1.0), (x_es, -1.0)]),
+            ("i_dch_energy", LE, 0.0, [(i_dch_ac, 1.0), (i_dch_dc, 1.0),
+                                       (soc[:, :-1], -1.0)]),
+            ("size_inv", LE, 0.0, [(dch_ac, 1.0), (ch_ac, 1.0 / eta_inv), (x_inv, -1.0)]),
+            ("size_inv_i", LE, 0.0, [(i_dch_ac, 1.0), (x_inv, -1.0)])]
+        ac_storage = [(dch_ac, eta_inv), (ch_ac, -1.0 / eta_inv)]
+        dc_storage = [(dch_dc, eta_con), (ch_dc, -1.0 / eta_con)]
+        i_ac_storage, i_dc_storage = [(i_dch_ac, eta_inv)], [(i_dch_dc, eta_con)]
+        con_storage = [(dch_dc, 1.0), (ch_dc, 1.0 / eta_con)]
+        i_con_storage = [(i_dch_dc, 1.0)]
+    else:
+        band = boundary = product = battery_rows = islanded_battery = []
+        ac_storage = dc_storage = i_ac_storage = i_dc_storage = []
+        con_storage = i_con_storage = []
+    f_in, f_out, i_f_in, i_f_out = c["f_dc_in"], c["f_dc_out"], c["i_f_dc_in"], c["i_f_dc_out"]
+    per_interval = [
+        *product,
+        # AC and DC bus balances; no shedding while grid-connected.
+        ("bal_ac", EQ, ac_load, [(c["p_grid"], 1.0), (c["f_ac"], -1.0), *ac_storage]),
+        ("bal_dc", EQ, dc_load, [(c["v_pv"], eta_con), (f_out, -1.0), (f_in, 1.0),
+                                 *dc_storage]),
+        ("ic_link", EQ, 0.0, [(c["f_ac"], 1.0), (f_in, -1.0 / eta_ic), (f_out, eta_ic)]),
+        ("flow_in_cap", LE, 0.0, [(f_in, 1.0), (c["z_flow"], -m_flow)]),
+        ("flow_out_cap", LE, m_flow, [(f_out, 1.0), (c["z_flow"], m_flow)]),
+        *battery_rows,
+        ("pv_avail", LE, 0.0, [(c["v_pv"], 1.0), (x_pv, -avail)]),
+        ("peak_link", LE, 0.0, [(c["p_grid"], 1.0), (c["p_peak"], -1.0)]),
+        # Islanded one-interval contingency at this interval.
+        ("i_bal_ac", EQ, ac_load, [(c["i_f_ac"], -1.0), (c["shed_cl_ac"], 1.0),
+                                   (c["shed_nl_ac"], 1.0), *i_ac_storage]),
+        ("i_bal_dc", EQ, dc_load, [(c["i_v_pv"], eta_con), (i_f_out, -1.0), (i_f_in, 1.0),
+                                   (c["shed_cl_dc"], 1.0), (c["shed_nl_dc"], 1.0),
+                                   *i_dc_storage]),
+        ("i_ic_link", EQ, 0.0, [(c["i_f_ac"], 1.0), (i_f_in, -1.0 / eta_ic),
+                                (i_f_out, eta_ic)]),
+        ("i_flow_in_cap", LE, 0.0, [(i_f_in, 1.0), (c["i_z_flow"], -m_flow)]),
+        ("i_flow_out_cap", LE, m_flow, [(i_f_out, 1.0), (c["i_z_flow"], m_flow)]),
+        ("i_pv_avail", LE, 0.0, [(c["i_v_pv"], 1.0), (x_pv, -avail)]),
+        *islanded_battery,
+        # Converter ratings envelope every flow they carry in either mode.
+        ("size_con", LE, 0.0, [(x_pv, 1.0), (x_con, -1.0), *con_storage]),
+        ("size_con_i", LE, 0.0, [(x_pv, 1.0), (x_con, -1.0), *i_con_storage]),
+        ("size_ic_in", LE, 0.0, [(f_in, 1.0 / eta_ic), (x_ic, -1.0)]),
+        ("size_ic_out", LE, 0.0, [(f_out, 1.0), (x_ic, -1.0)]),
+        ("size_ic_i_in", LE, 0.0, [(i_f_in, 1.0 / eta_ic), (x_ic, -1.0)]),
+        ("size_ic_i_out", LE, 0.0, [(i_f_out, 1.0), (x_ic, -1.0)]),
+    ]
+    row_groups = [(band, 0, t_count + 1), (boundary, None, 1), (per_interval, 1, t_count)]
+    r, row_names = _layout(0, n_s, [  # r[family]: row indices
+        (tuple(spec[0] for spec in specs), first, count) for specs, first, count in row_groups])
+    n_rows = len(row_names)
 
-    for s, day in enumerate(scenario_set.days):
-        w_day = day.probability * scenario_set.annual_day_weight
-        w_dem = day.probability * scenario_set.annual_demand_weight
-        p_peak = add("p_peak", f"s{s}", 0.0, tariff.peak_cap,
-                     w_dem * tariff.demand_price)
-
-        soc = {}
-        if es_on:
-            for t in range(t_count + 1):
-                soc[t] = add("soc", f"s{s}_t{t}")
-                b.add_row(f"soc_lo_s{s}_t{t}",
-                          [(soc[t], 1.0), (x_es, -catalog.alpha_min * rho_cap)], GE, 0.0)
-                b.add_row(f"soc_hi_s{s}_t{t}",
-                          [(soc[t], 1.0), (x_es, -catalog.alpha_max * rho_cap)], LE, 0.0)
-            if soc_boundary == "cyclic":
-                b.add_row(f"soc_cycle_s{s}",
-                          [(soc[0], 1.0), (soc[t_count], -1.0)], EQ, 0.0)
-            else:
-                frac = float(soc_boundary)
-                b.add_row(f"soc_start_s{s}",
-                          [(soc[0], 1.0), (x_es, -frac * rho_cap)], EQ, 0.0)
-
-        for t in range(1, t_count + 1):
-            ti = t - 1  # 0-based index into the day series
-            st = f"s{s}_t{t}"
-            cl_ac, cl_dc = day.cl_ac[ti], day.cl_dc[ti]
-            nl_ac, nl_dc = day.nl_ac[ti], day.nl_dc[ti]
-            avail = day.pv_availability[ti]
-
-            p_grid = add("p_grid", st, 0.0, np.inf, w_day * tariff.energy_price[ti])
-            v_pv = add("v_pv", st, 0.0, np.inf)
-            f_ac = add("f_ac", st, -np.inf, np.inf)
-            f_in = add("f_dc_in", st, 0.0, np.inf)
-            f_out = add("f_dc_out", st, 0.0, np.inf)
-            z = add("z_flow", st, 0.0, 1.0, binary=True)
-
-            if es_on:
-                deg = w_day * catalog.c_deg
-                dch_ac = add("dch_ac", st, 0.0, np.inf, deg)
-                dch_dc = add("dch_dc", st, 0.0, np.inf, deg)
-                ch_ac = add("ch_ac", st, 0.0, np.inf, deg)
-                ch_dc = add("ch_dc", st, 0.0, np.inf, deg)
-                y = add("y_dch", st, 0.0, 1.0, binary=True)
-                u, k, _rows = linearize_product(b, x_es, y, m_es, f"dch_{st}")
-                families["u_dch"].append(u)
-                families["k_dch"].append(k)
-
-            # AC and DC bus balances; no shedding while grid-connected.
-            ac_terms = [(p_grid, 1.0), (f_ac, -1.0)]
-            if es_on:
-                ac_terms += [(dch_ac, catalog.eta_inv), (ch_ac, -1.0 / catalog.eta_inv)]
-            b.add_row(f"bal_ac_{st}", ac_terms, EQ, cl_ac + nl_ac)
-
-            dc_terms = [(v_pv, catalog.eta_con), (f_out, -1.0), (f_in, 1.0)]
-            if es_on:
-                dc_terms += [(dch_dc, catalog.eta_con), (ch_dc, -1.0 / catalog.eta_con)]
-            b.add_row(f"bal_dc_{st}", dc_terms, EQ, cl_dc + nl_dc)
-
-            b.add_row(f"ic_link_{st}",
-                      [(f_ac, 1.0), (f_in, -1.0 / catalog.eta_ic),
-                       (f_out, catalog.eta_ic)], EQ, 0.0)
-            b.add_row(f"flow_in_cap_{st}", [(f_in, 1.0), (z, -m_flow)], LE, 0.0)
-            b.add_row(f"flow_out_cap_{st}", [(f_out, 1.0), (z, m_flow)], LE, m_flow)
-
-            if es_on:
-                b.add_row(f"soc_step_{st}",
-                          [(soc[t], 1.0), (soc[t - 1], -1.0),
-                           (ch_ac, -catalog.eta_ch), (ch_dc, -catalog.eta_ch),
-                           (dch_ac, 1.0 / catalog.eta_dch),
-                           (dch_dc, 1.0 / catalog.eta_dch)], EQ, 0.0)
-                b.add_row(f"dch_cap_{st}",
-                          [(dch_ac, 1.0), (dch_dc, 1.0), (u, -1.0)], LE, 0.0)
-                b.add_row(f"ch_cap_{st}",
-                          [(ch_ac, 1.0), (ch_dc, 1.0), (x_es, -1.0), (u, 1.0)],
-                          LE, 0.0)
-
-            b.add_row(f"pv_avail_{st}", [(v_pv, 1.0), (x_pv, -avail)], LE, 0.0)
-            b.add_row(f"peak_link_{st}", [(p_grid, 1.0), (p_peak, -1.0)], LE, 0.0)
-
-            # Islanded one-interval contingency at this interval.
-            i_v = add("i_v_pv", st, 0.0, np.inf)
-            i_f_ac = add("i_f_ac", st, -np.inf, np.inf)
-            i_f_in = add("i_f_dc_in", st, 0.0, np.inf)
-            i_f_out = add("i_f_dc_out", st, 0.0, np.inf)
-            zi = add("i_z_flow", st, 0.0, 1.0, binary=True)
-            lcl_ac_c = add("shed_cl_ac", st, 0.0, cl_ac, w_day * catalog.voll_cl)
-            lcl_dc_c = add("shed_cl_dc", st, 0.0, cl_dc, w_day * catalog.voll_cl)
-            lnl_ac_c = add("shed_nl_ac", st, 0.0, nl_ac, w_day * catalog.voll_nl)
-            lnl_dc_c = add("shed_nl_dc", st, 0.0, nl_dc, w_day * catalog.voll_nl)
-            if es_on:
-                i_dch_ac = add("i_dch_ac", st, 0.0, np.inf)
-                i_dch_dc = add("i_dch_dc", st, 0.0, np.inf)
-
-            iac_terms = [(i_f_ac, -1.0), (lcl_ac_c, 1.0), (lnl_ac_c, 1.0)]
-            if es_on:
-                iac_terms.append((i_dch_ac, catalog.eta_inv))
-            b.add_row(f"i_bal_ac_{st}", iac_terms, EQ, cl_ac + nl_ac)
-
-            idc_terms = [(i_v, catalog.eta_con), (i_f_out, -1.0), (i_f_in, 1.0),
-                         (lcl_dc_c, 1.0), (lnl_dc_c, 1.0)]
-            if es_on:
-                idc_terms.append((i_dch_dc, catalog.eta_con))
-            b.add_row(f"i_bal_dc_{st}", idc_terms, EQ, cl_dc + nl_dc)
-
-            b.add_row(f"i_ic_link_{st}",
-                      [(i_f_ac, 1.0), (i_f_in, -1.0 / catalog.eta_ic),
-                       (i_f_out, catalog.eta_ic)], EQ, 0.0)
-            b.add_row(f"i_flow_in_cap_{st}", [(i_f_in, 1.0), (zi, -m_flow)], LE, 0.0)
-            b.add_row(f"i_flow_out_cap_{st}", [(i_f_out, 1.0), (zi, m_flow)],
-                      LE, m_flow)
-            b.add_row(f"i_pv_avail_{st}", [(i_v, 1.0), (x_pv, -avail)], LE, 0.0)
-            if es_on:
-                b.add_row(f"i_dch_power_{st}",
-                          [(i_dch_ac, 1.0), (i_dch_dc, 1.0), (x_es, -1.0)], LE, 0.0)
-                b.add_row(f"i_dch_energy_{st}",
-                          [(i_dch_ac, 1.0), (i_dch_dc, 1.0), (soc[t - 1], -1.0)],
-                          LE, 0.0)
-
-            # Converter ratings envelope every flow they carry in either mode.
-            if es_on:
-                b.add_row(f"size_inv_{st}",
-                          [(dch_ac, 1.0), (ch_ac, 1.0 / catalog.eta_inv),
-                           (x_inv, -1.0)], LE, 0.0)
-                b.add_row(f"size_inv_i_{st}", [(i_dch_ac, 1.0), (x_inv, -1.0)], LE, 0.0)
-            con_terms = [(x_pv, 1.0), (x_con, -1.0)]
-            if es_on:
-                con_terms += [(dch_dc, 1.0), (ch_dc, 1.0 / catalog.eta_con)]
-            b.add_row(f"size_con_{st}", con_terms, LE, 0.0)
-            con_i_terms = [(x_pv, 1.0), (x_con, -1.0)]
-            if es_on:
-                con_i_terms.append((i_dch_dc, 1.0))
-            b.add_row(f"size_con_i_{st}", con_i_terms, LE, 0.0)
-            b.add_row(f"size_ic_in_{st}",
-                      [(f_in, 1.0 / catalog.eta_ic), (x_ic, -1.0)], LE, 0.0)
-            b.add_row(f"size_ic_out_{st}", [(f_out, 1.0), (x_ic, -1.0)], LE, 0.0)
-            b.add_row(f"size_ic_i_in_{st}",
-                      [(i_f_in, 1.0 / catalog.eta_ic), (x_ic, -1.0)], LE, 0.0)
-            b.add_row(f"size_ic_i_out_{st}", [(i_f_out, 1.0), (x_ic, -1.0)], LE, 0.0)
-
-    n_s = len(scenario_set.days)
     expected = expected_dimensions(n_s, t_count, case)
-    if (b.n_cols, b.n_rows) != (expected["n_cols"], expected["n_rows"]):
-        raise BuildError(f"built ({b.n_cols}, {b.n_rows}) columns/rows, expected "
+    if (n_cols, n_rows) != (expected["n_cols"], expected["n_rows"]):
+        raise BuildError(f"built ({n_cols}, {n_rows}) columns/rows, expected "
                          f"({expected['n_cols']}, {expected['n_rows']})")
-    col_family = np.empty(b.n_cols, dtype=np.int8)
-    for code, cols in enumerate(families.values()):
-        col_family[cols] = code
-    instance = b.build(meta={
-        "families": tuple(families),
-        "col_family": col_family,
-        "scenarios": n_s,
-        "intervals": t_count,
-        "case": case,
-        "m_flow": m_flow,
-        "m_es": m_es,
-        "soc_boundary": soc_boundary,
-        "expected_dimensions": expected,
-        "scenario_set": scenario_set,
-        "catalog": catalog,
-        "tariff": tariff,
-    })
+    rhs = np.full(n_rows, np.nan)  # rows left unset fail validation
+    row_sense = np.full(n_rows, None, dtype=object)
+    blocks = []  # per family: (row, column, value) of every term, term by term
+    for specs, _, _ in row_groups:
+        for family, sense, value, terms in specs:
+            index = r[family]
+            rhs[index], row_sense[index] = value, sense
+            block = np.empty((3, len(terms)) + index.shape)
+            block[0] = index
+            for i, (columns, coef) in enumerate(terms):
+                block[1, i], block[2, i] = columns, coef
+            blocks.append(block.reshape(3, -1))
+    rows, cols, values = np.concatenate(blocks, axis=1)
+    rows, cols = rows.astype(np.int64), cols.astype(np.int64)  # exact in float64
+    kept = values != 0.0
+    matrix = sp.coo_matrix((values[kept], (rows[kept], cols[kept])),
+                           shape=(n_rows, n_cols)).tocsr()
+
+    families = ("x", *c)
+    col_family = np.zeros(n_cols, dtype=np.int8)
+    for code, family in enumerate(families[1:], start=1):
+        col_family[c[family]] = code
     # Heuristic hint for the reference solver: a binary assignment that stays
     # feasible whenever grid supply alone can carry the load (import direction
     # open on both buses, battery held in the charging state). Used only to
     # seed an incumbent; optimality proofs never rely on it.
-    blocks = variable_blocks(instance)
-    safe = dict.fromkeys(blocks["z_flow"].ravel().tolist(), 1.0)
-    safe.update(dict.fromkeys(blocks["i_z_flow"].ravel().tolist(), 1.0))
+    safe = dict.fromkeys(c["z_flow"].ravel().tolist(), 1.0)
+    safe.update(dict.fromkeys(c["i_z_flow"].ravel().tolist(), 1.0))
     if es_on:
-        safe.update(dict.fromkeys(blocks["y_dch"].ravel().tolist(), 0.0))
-    instance.meta["binary_safe_value"] = safe
+        safe.update(dict.fromkeys(c["y_dch"].ravel().tolist(), 0.0))
+    instance = MilpInstance(
+        col_names=col_names, col_lower=lower, col_upper=upper, col_binary=col_binary,
+        objective=objective, row_names=row_names, row_sense=tuple(row_sense), rhs=rhs,
+        matrix=matrix, meta={
+            "families": families,
+            "col_family": col_family,
+            "scenarios": n_s,
+            "intervals": t_count,
+            "case": case,
+            "m_flow": m_flow,
+            "m_es": m_es,
+            "soc_boundary": soc_boundary,
+            "expected_dimensions": expected,
+            "scenario_set": scenario_set,
+            "catalog": catalog,
+            "tariff": tariff,
+            "binary_safe_value": safe,
+        })
     instance.validate()
     return instance
 

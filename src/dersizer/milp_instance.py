@@ -6,11 +6,15 @@ objective. Names serve the LP-format export and lookups by name; indexed
 variables use the ``name_s{s}_t{t}`` convention so they stay legal
 LP-format identifiers. A model builder that needs its variables back by
 index records them itself (see ``milp_builder.variable_blocks``).
+
+:class:`ModelBuilder` is the scalar builder for hand-written models: one
+``add_col``/``add_row`` call per column or row, each checked as it is
+added. The sizing model does not use it; ``milp_builder.build_model`` lays
+out whole families as arrays and constructs the instance directly.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +52,6 @@ class ModelBuilder:
         if not lower <= upper:
             raise BuildError(f"column {name}: lower {lower} exceeds upper {upper}")
         index = len(self._col_names)
-        name = sys.intern(name)  # names repeat across instances of one model
         self._col_names.append(name)
         self._col_set.add(name)
         self._lower.append(float(lower))
@@ -73,13 +76,10 @@ class ModelBuilder:
                 self._coo_rows.append(row)
                 self._coo_cols.append(col)
                 self._coo_vals.append(float(value))
-        self._row_names.append(sys.intern(name))
+        self._row_names.append(name)
         self._row_sense.append(sense)
         self._rhs.append(float(rhs))
         return row
-
-    def upper(self, col: int) -> float:
-        return self._upper[col]
 
     @property
     def n_cols(self) -> int:

@@ -97,15 +97,9 @@ def standardize(instance: MilpInstance) -> StandardForm:
     m, n = instance.n_rows, instance.n_cols
     matrix = sp.hstack([instance.matrix.tocsc(),
                         sp.identity(m, format="csc")], format="csc")
-    lo = np.zeros(m)
-    hi = np.zeros(m)
-    for i, sense in enumerate(instance.row_sense):
-        if sense == LE:
-            lo[i], hi[i] = 0.0, np.inf
-        elif sense == GE:
-            lo[i], hi[i] = -np.inf, 0.0
-        else:
-            lo[i], hi[i] = 0.0, 0.0
+    senses = np.array(instance.row_sense)
+    lo = np.where(senses == GE, -np.inf, 0.0)
+    hi = np.where(senses == LE, np.inf, 0.0)
     return StandardForm(matrix=matrix, matrix_t=matrix.T.tocsr(),
                         rhs=instance.rhs.astype(float), n_struct=n,
                         logical_lower=lo, logical_upper=hi)
@@ -164,19 +158,12 @@ class _Factor:
 
 def _cold_start(form: StandardForm, lower: np.ndarray, upper: np.ndarray):
     """Logical basis; structural columns at the finite bound nearest zero."""
-    m = form.matrix.shape[0]
-    n_total = form.n_struct + m
-    status = np.full(n_total, AT_LOWER, dtype=np.int8)
-    basis = np.arange(form.n_struct, n_total, dtype=np.int64)
-    status[basis] = BASIC
-    for j in range(form.n_struct):
-        if np.isfinite(lower[j]):
-            status[j] = AT_LOWER
-        elif np.isfinite(upper[j]):
-            status[j] = AT_UPPER
-        else:
-            status[j] = FREE
-    return basis, status
+    n = form.n_struct
+    n_total = n + form.matrix.shape[0]
+    status = np.full(n_total, BASIC, dtype=np.int8)
+    status[:n] = np.where(np.isfinite(lower[:n]), AT_LOWER,
+                          np.where(np.isfinite(upper[:n]), AT_UPPER, FREE))
+    return np.arange(n, n_total, dtype=np.int64), status
 
 
 def _nonbasic_values(status, lower, upper):

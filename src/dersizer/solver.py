@@ -13,9 +13,9 @@ Three interchangeable backends sit behind :func:`solve_milp`:
 ``oracle``
     Brute-force enumeration of every binary assignment (hard-capped at 16
     binaries), each evaluated with an independently implemented LP solver
-    (scipy ``linprog``). Exact up to LP tolerance and deliberately free of
-    any code shared with the reference path, so the two can certify each
-    other.
+    (scipy's HiGHS ``milp`` with no integrality). Exact up to LP tolerance
+    and deliberately free of any code shared with the reference path, so
+    the two can certify each other.
 
 Each solve is single-threaded and deterministic; distinct instances may
 be solved concurrently. The reference backend streams one log line per
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, OracleGuardError, SolverError
-from .milp_instance import EQ, GE, LE, MilpInstance
+from .milp_instance import GE, LE, MilpInstance
 from .simplex import StandardForm, simplex_solve, standardize
 
 INT_TOL = 1e-6
@@ -299,40 +299,23 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
 ORACLE_MAX_BINARIES = 16
 
 
-def _scipy_rows(instance: MilpInstance):
-    """Split rows into scipy-style A_ub/b_ub and A_eq/b_eq blocks."""
-    import scipy.sparse as sp
-
-    matrix = instance.matrix.tocsr()
+def _row_bounds(instance: MilpInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper activity bounds of every row, for HiGHS."""
     senses = np.array(instance.row_sense)
-    ub_rows = []
-    ub_rhs = []
-    eq_mask = senses == EQ
-    for i in np.flatnonzero(~eq_mask):
-        row = matrix.getrow(i)
-        if senses[i] == LE:
-            ub_rows.append(row)
-            ub_rhs.append(instance.rhs[i])
-        else:
-            ub_rows.append(-row)
-            ub_rhs.append(-instance.rhs[i])
-    a_ub = sp.vstack(ub_rows, format="csr") if ub_rows else None
-    b_ub = np.array(ub_rhs) if ub_rows else None
-    eq_idx = np.flatnonzero(eq_mask)
-    a_eq = matrix[eq_idx] if len(eq_idx) else None
-    b_eq = instance.rhs[eq_idx] if len(eq_idx) else None
-    return a_ub, b_ub, a_eq, b_eq
+    return (np.where(senses == LE, -np.inf, instance.rhs),
+            np.where(senses == GE, np.inf, instance.rhs))
 
 
 def oracle_enumerate(instance: MilpInstance) -> SolveResult:
     """Certify the optimum by trying every 0/1 assignment of the binaries.
 
-    Each assignment turns the instance into an LP solved by scipy's
-    ``linprog``; the best feasible assignment wins (first one found on
-    exact ties, so the result is deterministic). Refuses instances with
-    more than 16 binary columns.
+    Each assignment fixes the binaries by bounds and solves the remaining
+    LP with scipy's HiGHS ``milp`` (no integrality), over one constraint
+    object built per instance. The best feasible assignment wins (first one
+    found on exact ties, so the result is deterministic). Refuses instances
+    with more than 16 binary columns.
     """
-    from scipy.optimize import linprog
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
     binaries = instance.binary_indices
     if len(binaries) > ORACLE_MAX_BINARIES:
@@ -340,30 +323,25 @@ def oracle_enumerate(instance: MilpInstance) -> SolveResult:
             f"oracle guard: {len(binaries)} binary columns exceed the "
             f"hard limit of {ORACLE_MAX_BINARIES}")
     started = time.perf_counter()
-    a_ub, b_ub, a_eq, b_eq = _scipy_rows(instance)
-    base_bounds = np.column_stack([instance.col_lower, instance.col_upper])
+    constraints = LinearConstraint(instance.matrix, *_row_bounds(instance))
+    lower, upper = instance.col_lower.copy(), instance.col_upper.copy()
+    # Row ``bits`` of ``assignments`` gives binary ``pos`` the value of bit ``pos``.
+    assignments = ((np.arange(2 ** len(binaries))[:, None] >> np.arange(len(binaries)))
+                   & 1).astype(float)
+    fits = np.all((assignments >= instance.col_lower[binaries] - 1e-12)
+                  & (assignments <= instance.col_upper[binaries] + 1e-12), axis=1)
 
     best_obj = None
     best_x = None
-    n_lp = 0
-    for bits in range(2 ** len(binaries)):
-        bounds = base_bounds.copy()
-        feasible_fix = True
-        for pos, col in enumerate(binaries):
-            value = float((bits >> pos) & 1)
-            if value < bounds[col, 0] - 1e-12 or value > bounds[col, 1] + 1e-12:
-                feasible_fix = False
-                break
-            bounds[col] = (value, value)
-        if not feasible_fix:
-            continue
-        res = linprog(instance.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq,
-                      b_eq=b_eq, bounds=bounds, method="highs")
-        n_lp += 1
+    for values in assignments[fits]:
+        lower[binaries] = upper[binaries] = values
+        res = milp(instance.objective, constraints=constraints,
+                   bounds=Bounds(lower, upper))
         if res.status == 0 and (best_obj is None or res.fun < best_obj - 1e-12):
             best_obj = float(res.fun)
             best_x = np.asarray(res.x)
     wall = time.perf_counter() - started
+    n_lp = int(np.count_nonzero(fits))
     if best_obj is None:
         return SolveResult("infeasible", None, None, achieved_gap=np.inf,
                            nodes=n_lp, wall_time=wall)
@@ -380,16 +358,11 @@ def solve_external(instance: MilpInstance, options: SolveOptions) -> SolveResult
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     started = time.perf_counter()
-    senses = instance.row_sense
-    row_lo = np.array([-np.inf if s == LE else instance.rhs[i]
-                       for i, s in enumerate(senses)])
-    row_hi = np.array([np.inf if s == GE else instance.rhs[i]
-                       for i, s in enumerate(senses)])
     opts = {"presolve": True, "mip_rel_gap": options.relative_gap, "disp": False}
     if options.time_limit is not None:
         opts["time_limit"] = options.time_limit
     res = milp(c=instance.objective,
-               constraints=LinearConstraint(instance.matrix, row_lo, row_hi),
+               constraints=LinearConstraint(instance.matrix, *_row_bounds(instance)),
                integrality=instance.col_binary.astype(int),
                bounds=Bounds(instance.col_lower, instance.col_upper),
                options=opts)

@@ -1,6 +1,9 @@
 """Model construction: big-M values, dimensions, the product reformulation,
 case handling and solution extraction."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,8 @@ from dersizer import (CaseSpec, DeviceCatalog, ScenarioSet, SolveOptions,
 from dersizer import milp_builder
 from dersizer.data_model import DayScenario
 from dersizer.errors import BuildError, SolverError
-from dersizer.milp_builder import expected_dimensions, linearize_product, variable_blocks
-from dersizer.milp_instance import EQ, LE, ModelBuilder
+from dersizer.milp_builder import expected_dimensions, variable_blocks
+from dersizer.milp_instance import LE, ModelBuilder
 from dersizer.solver import SolveResult
 
 from conftest import tiny_sizing_inputs
@@ -159,40 +162,83 @@ def test_build_rejects_bad_soc_boundary():
                     soc_boundary="monday")
 
 
-def _product_fixture(x_value, y_value, m=350.0):
-    """Minimal model isolating the exact-product reformulation."""
-    b = ModelBuilder()
-    x = b.add_col("x", 0.0, 350.0)
-    y = b.add_col("y", y_value, y_value, binary=True)
-    b.add_row("fix_x", [(x, 1.0)], EQ, x_value)
-    u, k, rows = linearize_product(b, x, y, m, "t")
-    assert len(rows) == 3
-    return b, u, k
-
-
 @pytest.mark.parametrize("x_value,y_value,expected_u",
                          [(350.0, 1.0, 350.0), (350.0, 0.0, 0.0),
                           (123.4, 1.0, 123.4), (123.4, 0.0, 0.0)])
 def test_product_reformulation_forces_u(x_value, y_value, expected_u):
-    from dataclasses import replace
+    scen, catalog, tariff = tiny_sizing_inputs(0)
+    instance = build_model(scen, catalog, tariff, CaseSpec.from_number(3))
+    blocks = variable_blocks(instance)
+    x_es, y = blocks["x"][1], blocks["y_dch"][0, 0]
+    u, k = blocks["u_dch"][0, 0], blocks["k_dch"][0, 0]
+    lower, upper = instance.col_lower.copy(), instance.col_upper.copy()
+    lower[x_es] = upper[x_es] = x_value
+    lower[y] = upper[y] = y_value
     for sense in (1.0, -1.0):  # minimizing and maximizing u give the same value
-        b, u, k = _product_fixture(x_value, y_value)
-        instance = b.build()
         objective = np.zeros(instance.n_cols)
         objective[u] = sense
-        instance = replace(instance, objective=objective)
-        res = solve_lp(instance)
+        res = solve_lp(replace(instance, objective=objective), lower=lower, upper=upper)
         assert res.status == "optimal"
         assert res.x[u] == pytest.approx(expected_u, abs=1e-7)
         assert res.x[k] == pytest.approx(x_value - expected_u, abs=1e-7)
 
 
-def test_product_reformulation_rejects_small_m():
-    b = ModelBuilder()
-    x = b.add_col("x", 0.0, 350.0)
-    y = b.add_col("y", 0.0, 1.0, binary=True)
+def test_product_reformulation_rejects_small_m(monkeypatch):
+    def halved(*args):
+        values = compute_big_m(*args)
+        return {**values, "m_es": 0.5 * values["m_es"]}
+
+    monkeypatch.setattr(milp_builder, "compute_big_m", halved)
+    scen, catalog, tariff = tiny_sizing_inputs(0)
     with pytest.raises(BuildError, match="big-M"):
-        linearize_product(b, x, y, 200.0, "t")
+        build_model(scen, catalog, tariff, CaseSpec.from_number(3))
+
+
+def _builder_digest(instance) -> str:
+    """Hash of every array, sense, name, family code and safe hint."""
+    h = hashlib.sha256()
+    for arr in (instance.objective, instance.col_lower, instance.col_upper,
+                instance.col_binary, instance.rhs, instance.matrix.indptr,
+                instance.matrix.indices, instance.matrix.data,
+                instance.meta["col_family"]):
+        h.update(np.ascontiguousarray(arr).tobytes() + b"|")
+    for text in (instance.row_sense, instance.col_names, instance.row_names,
+                 instance.meta["families"]):
+        h.update("\n".join(text).encode() + b"|")
+    h.update(repr(sorted(instance.meta["binary_safe_value"].items())).encode())
+    return h.hexdigest()[:16]
+
+
+# Digests of the builder's output for _pinned_inputs(), one per (case, boundary),
+# as the earlier row-at-a-time builder produced them.
+# Without a battery (cases 0 and 1) the SoC boundary builds nothing.
+PINNED_DIGESTS = {
+    (0, "cyclic"): "f744c9cb2c5f44b5", (0, 0.5): "f744c9cb2c5f44b5",
+    (1, "cyclic"): "7358ad8dde2984dc", (1, 0.5): "7358ad8dde2984dc",
+    (2, "cyclic"): "5626ca5a15b7be96", (2, 0.5): "3fa3a42820f54087",
+    (3, "cyclic"): "8beb66872de8880b", (3, 0.5): "6dcfcc764cfa744d",
+}
+
+
+def _pinned_inputs():
+    day0 = DayScenario(id="d0", probability=0.75, cl_ac=[12.0, 30.5, 7.25],
+                       cl_dc=[4.0, 9.5, 2.0], nl_ac=[40.0, 61.0, 22.5],
+                       nl_dc=[15.0, 18.25, 6.0], pv_availability=[0.0, 0.62, 0.35])
+    day1 = DayScenario(id="d1", probability=0.25, cl_ac=[20.0, 14.5, 9.0],
+                       cl_dc=[6.5, 3.0, 8.0], nl_ac=[55.0, 33.0, 47.5],
+                       nl_dc=[11.0, 26.0, 13.5], pv_availability=[0.0, 0.9, 0.1])
+    tariff = TariffPlan(energy_price=[0.08, 0.21, 0.13], demand_price=16.5,
+                        peak_cap=1000.0)
+    return ScenarioSet(days=(day0, day1)), DeviceCatalog(), tariff
+
+
+@pytest.mark.parametrize("soc_boundary", ["cyclic", 0.5])
+@pytest.mark.parametrize("case_number", [0, 1, 2, 3])
+def test_builder_output_is_pinned(case_number, soc_boundary):
+    scen, catalog, tariff = _pinned_inputs()
+    instance = build_model(scen, catalog, tariff, CaseSpec.from_number(case_number),
+                           soc_boundary=soc_boundary)
+    assert _builder_digest(instance) == PINNED_DIGESTS[case_number, soc_boundary]
 
 
 def test_hand_computed_case0_objective(hand_case0):
