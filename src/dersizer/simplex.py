@@ -9,28 +9,28 @@ solve applies every eta at once with two small matrix products instead of
 one Python step per eta. Entering columns are read straight from the CSC
 arrays of the standard form.
 
+Dual phase. Whenever the starting basis is dual feasible (no movable
+nonbasic column has a dual-infeasible reduced cost), a bounded-variable dual
+simplex runs first. That covers the cold logical basis of every model whose
+costs are nonnegative at finite lower bounds, as in the sizing MILP, and the
+warm basis of an optimal parent solve after only column bounds change (the
+rounding dive and the branch-and-bound nodes). Each step leaves on the row
+of the largest bound violation (lowest row on ties), forms that row of
+``B^-1 N`` from one ``btran`` and one product with the transposed matrix,
+and scans only the row's nonzeros. It enters by a Harris ratio test: among
+the movable nonbasic columns whose dual ratio lies within the bound relaxed
+by ``tol_opt``, the largest pivot magnitude, then the lowest index. No
+eligible column on a fresh factorization proves the LP infeasible. Reduced
+costs are updated along the row and recomputed at each refactorization.
+Once the basic values are feasible the primal loop takes over and normally
+confirms optimality without a pivot. The dual phase hands over to the
+primal loop early if its objective stalls for ``STALL_LIMIT`` iterations.
+
 Primal loop. Phase 1 minimizes the total bound violation of the basic
 variables with a piecewise-linear composite objective, which lets it start
-from any basis (cold logical start or a warm basis from a related solve).
-Pricing is Dantzig with a Bland fallback that engages when the objective
-stalls, so the method terminates on degenerate models.
-
-Warm-start dual phase. A warm basis from an optimal parent solve keeps its
-reduced costs when only column bounds change (the rounding dive and the
-branch-and-bound nodes), so its basic values are the only thing that may be
-wrong. When no movable nonbasic column is dual infeasible, a bounded-variable
-dual simplex runs first. Each step leaves on the row of the largest bound
-violation (lowest row on ties), forms that row of ``B^-1 N`` from one
-``btran`` and one product with the transposed matrix, and enters by a
-Harris ratio test: among the movable nonbasic columns whose dual ratio lies
-within the bound relaxed by ``tol_opt``, the largest pivot magnitude, then
-the lowest index. No eligible column on a fresh factorization proves the LP
-infeasible. Reduced costs are updated along the row and recomputed at each
-refactorization. Once the basic values are feasible the primal loop takes
-over and normally confirms optimality without a pivot. The dual phase is
-skipped for cold starts and for warm bases that are not dual feasible, and
-it hands over to the primal loop early if its objective stalls for
-``STALL_LIMIT`` iterations.
+from any basis; it solves the starts that are not dual feasible. Pricing is
+Dantzig with a Bland fallback that engages when the objective stalls, so
+the method terminates on degenerate models.
 
 Tolerances follow the package contract: primal feasibility and dual
 optimality both 1e-7. Determinism: every tie in pricing and in the ratio
@@ -125,8 +125,16 @@ class _Factor:
         self.refactor(basis)
 
     def refactor(self, basis: np.ndarray) -> None:
+        # Gather the basis columns straight from the CSC arrays in one step.
+        indptr = self.matrix.indptr
+        starts = indptr[basis]
+        counts = indptr[basis + 1] - starts
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+        take = np.repeat(starts - ptr[:-1], counts) + np.arange(ptr[-1])
+        b = sp.csc_matrix((self.matrix.data[take], self.matrix.indices[take], ptr),
+                          shape=(len(basis), len(basis)))
         try:
-            self.lu = splu(self.matrix[:, basis].tocsc())
+            self.lu = splu(b)
         except RuntimeError as exc:
             raise NumericalError(f"singular basis: {exc}") from exc
         self.age = 0
@@ -282,13 +290,14 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
                                  f"(m={m}, n={form.n_struct})")
 
     def dual_phase():
-        """Dual simplex from a dual feasible warm basis to primal feasibility.
+        """Dual simplex from any dual feasible start, cold or warm, to primal
+        feasibility.
 
         Returns an ``LpResult`` when the solve ends here (``infeasible`` or
         ``time_limit``), or None to hand the basis to the primal loop: when
-        the basic values are feasible, when the warm basis is not dual
-        feasible, or when the dual objective stalls for ``STALL_LIMIT``
-        iterations.
+        the basic values are feasible, when the starting basis is not dual
+        feasible (the primal phase 1 then solves it), or when the dual
+        objective stalls for ``STALL_LIMIT`` iterations.
         """
         d = reduced_costs()
         if np.minimum(d * rate_up, d * rate_dn).min() < -tol_opt:
@@ -318,12 +327,13 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
             unit[r] = 1.0
             rho = factor.btran(unit)
             unit[r] = 0.0
+            # Only the row's nonzeros (ascending) can enter or move d.
             a = form.matrix_t @ rho
-            if not above:
-                a = -a
-            gain = np.maximum(a * rate_up, a * rate_dn)
-            cand = np.flatnonzero(gain > PIVOT_TOL)
-            if cand.size == 0:
+            nz = np.flatnonzero(a)
+            a = a[nz] if above else -a[nz]
+            gain = np.maximum(a * rate_up[nz], a * rate_dn[nz])
+            keep = gain > PIVOT_TOL
+            if not keep.any():
                 if factor.age:  # declare infeasible only on a fresh factor
                     refactor()
                     d = reduced_costs()
@@ -331,11 +341,12 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
                 return stopped("infeasible")
             # Harris ratio test: the largest |a| among the columns whose dual
             # ratio lies within the bound relaxed by tol_opt.
-            ratio = d[cand] / a[cand]
-            relaxed = float((ratio + tol_opt / gain[cand]).min())
-            near = cand[ratio <= relaxed]
-            j_in = int(near[np.argmax(gain[near])])
-            t = max(float(d[j_in] / a[j_in]), 0.0)
+            cand, g_cand = nz[keep], gain[keep]
+            ratio = d[cand] / a[keep]
+            near = np.flatnonzero(ratio <= float((ratio + tol_opt / g_cand).min()))
+            k = int(near[np.argmax(g_cand[near])])
+            j_in = int(cand[k])
+            t = max(float(ratio[k]), 0.0)
 
             count_iteration()
             w = entering_column(j_in)
@@ -347,17 +358,16 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
             if factor.age == 0:  # refactored: recompute rather than update
                 d = reduced_costs()
             else:
-                d -= t * a
+                d[nz] -= t * a
                 d[basis] = 0.0
 
     recompute_basics()
 
     c_b, l_b, u_b = c_full[basis], l_full[basis], u_full[basis]
     iterations = 0
-    if warm:
-        ended = dual_phase()
-        if ended is not None:
-            return ended
+    ended = dual_phase()
+    if ended is not None:
+        return ended
     bland = False
     stall = 0
     last_merit = np.inf

@@ -323,7 +323,8 @@ def oracle_enumerate(instance: MilpInstance) -> SolveResult:
             f"oracle guard: {len(binaries)} binary columns exceed the "
             f"hard limit of {ORACLE_MAX_BINARIES}")
     started = time.perf_counter()
-    constraints = LinearConstraint(instance.matrix, *_row_bounds(instance))
+    # CSC, the layout HiGHS takes, so scipy does not convert it on every call.
+    constraints = LinearConstraint(instance.matrix.tocsc(), *_row_bounds(instance))
     lower, upper = instance.col_lower.copy(), instance.col_upper.copy()
     # Row ``bits`` of ``assignments`` gives binary ``pos`` the value of bit ``pos``.
     assignments = ((np.arange(2 ** len(binaries))[:, None] >> np.arange(len(binaries)))

@@ -60,8 +60,13 @@ def test_equality_with_free_variable():
     assert res.objective == pytest.approx(5.5, abs=1e-7)
 
 
-def _random_lp(seed):
-    """Random bounded LP made feasible by construction around a point."""
+def _random_lp(seed, nonneg=False):
+    """Random bounded LP made feasible by construction around a point.
+
+    With ``nonneg`` the costs are ``|c|``, so the logical basis is dual
+    feasible and the cold solve starts in the dual phase; the costs as drawn
+    mostly send it through the primal phase 1.
+    """
     rng = np.random.default_rng(seed)
     n = rng.integers(2, 11)
     m = rng.integers(1, 9)
@@ -83,6 +88,8 @@ def _random_lp(seed):
             senses.append(EQ)
             rhs.append(y0[i])
     c = rng.normal(0, 1, n)
+    if nonneg:
+        c = np.abs(c)
     b = ModelBuilder()
     for j in range(n):
         b.add_col(f"x{j}", 0.0, upper[j], c[j])
@@ -92,9 +99,14 @@ def _random_lp(seed):
     return b.build()
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_random_lp_matches_independent_solver(seed):
-    inst = _random_lp(seed)
+# Seeds 0-24 with the costs as drawn, then again with nonnegative costs.
+RANDOM_LPS = ([pytest.param(seed, False, id=str(seed)) for seed in range(25)]
+              + [pytest.param(seed, True, id=f"nonneg-{seed}") for seed in range(25)])
+
+
+@pytest.mark.parametrize("seed, nonneg", RANDOM_LPS)
+def test_random_lp_matches_independent_solver(seed, nonneg):
+    inst = _random_lp(seed, nonneg)
     mine = solve_lp(inst)
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     dense = inst.matrix.toarray()
@@ -139,9 +151,9 @@ def _row_corner_fixed(inst):
     return lower, upper
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_warm_start_matches_cold_after_bound_change(seed):
-    inst = _random_lp(seed)
+@pytest.mark.parametrize("seed, nonneg", RANDOM_LPS)
+def test_warm_start_matches_cold_after_bound_change(seed, nonneg):
+    inst = _random_lp(seed, nonneg)
     form = standardize(inst)
     first = simplex_solve(form, inst.objective, inst.col_lower, inst.col_upper)
     assert first.status == "optimal"
