@@ -6,7 +6,11 @@ Three interchangeable backends sit behind :func:`solve_milp`:
     In-repo branch and bound over the in-repo simplex core. Best-bound
     node selection with a depth-first dive on ties, most-fractional
     branching, and a root rounding heuristic that usually closes the gap
-    immediately on near-integral relaxations. Deterministic.
+    immediately on near-integral relaxations. Before a rounding attempt
+    reaches the simplex, activity-bound propagation over the rows checks
+    its column bounds; an attempt it proves infeasible is skipped as if
+    its LP had been infeasible, and no tightened bound ever reaches an LP.
+    Deterministic.
 ``external``
     scipy's HiGHS-backed ``milp``. Much faster on full-size instances;
     same instance, same contract.
@@ -137,6 +141,114 @@ def _apply_fixes(instance, fixes):
     return lower, upper
 
 
+# Ten times the LP core's 1e-7 tolerance: a smaller miss may be round-off
+# in a fixing the LP accepts. Rounds are capped; on the packaged year
+# every refutation comes in round 3.
+PROPAGATION_TOL = 1e-6
+PROPAGATION_ROUNDS = 20
+
+
+def _step(bound):
+    return PROPAGATION_TOL * np.maximum(np.abs(bound), 1.0)
+
+
+class _Propagator:
+    """Activity-bound (domain) propagation over the rows of one instance.
+
+    Every row side is held as ``a x <= b``: side ``i`` caps row ``i`` from
+    above, side ``m + i`` is row ``i`` negated, and a side the row's sense
+    does not have gets ``b = inf``. Each round takes the least activity of
+    every side from the column bounds, refutes the bounds if one exceeds
+    its ``b``, and otherwise tightens each column by what the rest of its
+    side leaves (Achterberg, *Constraint Integer Programming*, 2007).
+    Integrality plays no part, so a refutation proves the LP over the given
+    bounds infeasible.
+    """
+
+    def __init__(self, instance: MilpInstance):
+        coo = instance.matrix.tocoo()
+        senses = np.array(instance.row_sense)
+        m = instance.n_rows
+        rhs = np.concatenate((np.where(senses != GE, instance.rhs, np.inf),
+                              np.where(senses != LE, -instance.rhs, np.inf)))
+        self.n_sides = 2 * m
+        self.limit = rhs + _step(rhs)
+        side = np.concatenate((coo.row, coo.row + m))
+        cols = np.concatenate((coo.col, coo.col))
+        vals = np.concatenate((coo.data, -coo.data))
+        keep = np.isfinite(rhs[side])
+        # Entries with a positive coefficient cap their column from above
+        # and count at its lower bound; the others the reverse.
+        side, cols, vals = side[keep], cols[keep], vals[keep]
+        pos, neg = vals > 0.0, vals < 0.0
+        self.side = np.concatenate((side[pos], side[neg]))
+        self.pos_cols, self.neg_cols = cols[pos], cols[neg]
+        self.pos_vals, self.neg_vals = vals[pos], vals[neg]
+        self.vals = np.concatenate((self.pos_vals, self.neg_vals))
+        self.n_pos = len(self.pos_vals)
+        self.side_rhs = rhs[self.side]
+
+    def refutes(self, lower: np.ndarray, upper: np.ndarray) -> bool:
+        """True when the rows provably admit no point inside the bounds."""
+        lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+        p, side, n_sides = self.n_pos, self.side, self.n_sides
+        for _ in range(PROPAGATION_ROUNDS):
+            if (lower > upper + _step(upper)).any():
+                return True
+            least = np.concatenate((self.pos_vals * lower[self.pos_cols],
+                                    self.neg_vals * upper[self.neg_cols]))
+            infinite = np.isinf(least)
+            count = np.bincount(side, weights=infinite, minlength=n_sides)
+            finite = np.where(infinite, 0.0, least)
+            total = np.bincount(side, weights=finite, minlength=n_sides)
+            if ((count == 0) & (total > self.limit)).any():
+                return True
+            # a_j x_j <= b - (least activity of the rest of the side); NaN
+            # where the rest has an infinite term, and fmin/fmax skip NaN.
+            rest = np.where(count[side] == infinite, total[side] - finite, np.nan)
+            bound = (self.side_rhs - rest) / self.vals
+            new_upper = np.full_like(upper, np.inf)
+            new_lower = np.full_like(lower, -np.inf)
+            np.fmin.at(new_upper, self.pos_cols, bound[:p])
+            np.fmax.at(new_lower, self.neg_cols, bound[p:])
+            # Candidates are finite or keep their infinite start, so no inf - inf.
+            tighter_upper = new_upper + _step(new_upper) < upper
+            tighter_lower = new_lower - _step(new_lower) > lower
+            if not (tighter_upper.any() or tighter_lower.any()):
+                return False
+            upper = np.where(tighter_upper, new_upper, upper)
+            lower = np.where(tighter_lower, new_lower, lower)
+        return False
+
+
+def _dive_attempts(instance: MilpInstance, x: np.ndarray) -> list[dict]:
+    """The distinct binary fixings the root dive tries for an incumbent, in order.
+
+    Plain rounding of the root point first, then rounding with ambiguous
+    binaries snapped to the model's safe assignment (an optional meta hint
+    naming a direction that cannot cut off grid-served dispatch), then the
+    fully safe assignment. The first feasible attempt wins.
+    """
+    binaries = instance.binary_indices
+    hints = {int(k): float(v) for k, v in
+             instance.meta.get("binary_safe_value", {}).items()}
+    values = x[binaries]
+    rounded = np.round(values)
+    away = np.abs(values - rounded)
+    attempts = [{int(j): float(rounded[i]) for i, j in enumerate(binaries)}]
+    if hints:
+        attempts.append({int(j): (hints.get(int(j), float(rounded[i]))
+                                  if away[i] > 0.25 else float(rounded[i]))
+                         for i, j in enumerate(binaries)})
+        attempts.append({int(j): hints.get(int(j), float(rounded[i]))
+                         for i, j in enumerate(binaries)})
+    distinct: list[dict] = []
+    for fixes in attempts:
+        if fixes not in distinct:
+            distinct.append(fixes)
+    return distinct
+
+
 def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResult:
     """Best-bound branch and bound over the bounded-simplex LP core."""
     started = time.perf_counter()
@@ -185,28 +297,12 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
         if incumbent_obj is None or obj < incumbent_obj - 1e-12 * max(1.0, abs(obj)):
             incumbent_obj, incumbent_x = obj, x.copy()
 
-    # Root dive for an incumbent: plain rounding first, then rounding with
-    # ambiguous binaries snapped to the model's safe assignment (an optional
-    # meta hint naming a direction that cannot cut off grid-served dispatch),
-    # then the fully safe assignment. First feasible attempt wins.
     if len(frac_cols(root.x)):
-        hints = {int(k): float(v) for k, v in
-                 instance.meta.get("binary_safe_value", {}).items()}
-        values = root.x[binaries]
-        rounded = np.round(values)
-        away = np.abs(values - rounded)
-        attempts = [{int(j): float(rounded[i]) for i, j in enumerate(binaries)}]
-        if hints:
-            attempts.append({int(j): (hints.get(int(j), float(rounded[i]))
-                                      if away[i] > 0.25 else float(rounded[i]))
-                             for i, j in enumerate(binaries)})
-            attempts.append({int(j): hints.get(int(j), float(rounded[i]))
-                             for i, j in enumerate(binaries)})
-        seen: list[dict] = []
-        for fixes in attempts:
-            if fixes in seen:
+        propagator = _Propagator(instance)
+        for fixes in _dive_attempts(instance, root.x):
+            # Skipped as if the LP had found it infeasible.
+            if propagator.refutes(*_apply_fixes(instance, fixes)):
                 continue
-            seen.append(fixes)
             dive = lp(fixes, warm=root)
             iterations += dive.iterations
             if dive.status == "time_limit":

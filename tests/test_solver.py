@@ -200,11 +200,57 @@ def test_reference_cold_root_takes_the_dual_phase(case3_k2):
 
 def test_reference_warm_starts_take_the_dual_phase(case3_k2):
     # The rounding dive re-solves from the root's optimal basis. The dual
-    # phase does it in 1,667 iterations for the whole solve; rebuilding
-    # feasibility with the primal phase 1 instead takes 3,996.
+    # phase does it in 1,430 iterations for the whole solve; rebuilding
+    # feasibility with the primal phase 1 instead takes 3,615.
     res = solve_milp(case3_k2, SolveOptions(relative_gap=1e-3, backend="reference"))
     assert res.ok
     assert res.iterations < 2500
+
+
+def test_reference_dive_skips_refuted_fixings(case3_k2, monkeypatch):
+    # Plain rounding and the half-safe rounding cannot serve the load; the
+    # LP took 174 + 63 iterations to prove it. Propagation refutes both, so
+    # only the root and the fully safe dive reach the simplex.
+    real = solver.simplex_solve
+    calls = []
+
+    def simplex_solve(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(solver, "simplex_solve", simplex_solve)
+    res = solve_milp(case3_k2, SolveOptions(relative_gap=1e-3, backend="reference"))
+    assert res.ok
+    assert [call.status for call in calls] == ["optimal", "optimal"]
+    assert res.iterations < 1500
+
+
+def test_propagation_refutes_only_infeasible_bounds():
+    # Every fixing the propagation refutes, from the dive attempts and eight
+    # seeded assignments per instance, must be an infeasible LP for HiGHS.
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    refuted = 0
+    for case in range(4):
+        for seed in range(40):
+            inst, _ = _tiny_instance(seed, case)
+            propagator = solver._Propagator(inst)
+            constraints = LinearConstraint(inst.matrix, *solver._row_bounds(inst))
+            binaries = inst.binary_indices
+            draws = np.random.default_rng(seed).integers(0, 2, (8, len(binaries)))
+            fixings = solver._dive_attempts(inst, solve_lp(inst).x) + [
+                dict(zip(binaries.tolist(), draw.astype(float))) for draw in draws]
+            for fixes in fixings:
+                lower, upper = solver._apply_fixes(inst, fixes)
+                if propagator.refutes(lower, upper):
+                    refuted += 1
+                    lp = milp(inst.objective, constraints=constraints,
+                              bounds=Bounds(lower, upper))
+                    assert lp.status == 2, (case, seed, fixes)
+            assert not propagator.refutes(inst.col_lower, inst.col_upper), (case, seed)
+            lower, upper = inst.col_lower.copy(), inst.col_upper.copy()
+            lower[0], upper[0] = 1.0, 0.0
+            assert propagator.refutes(lower, upper)
+    assert refuted > 500          # 837 of the fixings checked
 
 
 def test_external_time_limit_without_incumbent_is_a_status(reduced_set, table_catalog,
