@@ -253,9 +253,6 @@ class ValidationReport:
         return "\n".join(self.problems)
 
 
-_TS_FORMAT = "%Y-%m-%dT%H:%M:%S"
-
-
 def _parse_timestamp(text: str, row: int) -> datetime:
     try:
         return datetime.fromisoformat(text)

@@ -135,6 +135,12 @@ class MilpInstance:
     def binary_indices(self) -> np.ndarray:
         return np.flatnonzero(self.col_binary)
 
+    def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper activity bounds of every row; infinite on an open side."""
+        senses = np.array(self.row_sense)
+        return (np.where(senses == LE, -np.inf, self.rhs),
+                np.where(senses == GE, np.inf, self.rhs))
+
     def col(self, name: str, s: int | None = None, t: int | None = None) -> int:
         """Column index of a symbol, optionally indexed by scenario/interval."""
         if s is not None:

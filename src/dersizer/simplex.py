@@ -9,28 +9,33 @@ solve applies every eta at once with two small matrix products instead of
 one Python step per eta. Entering columns are read straight from the CSC
 arrays of the standard form.
 
-Dual phase. Whenever the starting basis is dual feasible (no movable
-nonbasic column has a dual-infeasible reduced cost), a bounded-variable dual
-simplex runs first. That covers the cold logical basis of every model whose
-costs are nonnegative at finite lower bounds, as in the sizing MILP, and the
-warm basis of an optimal parent solve after only column bounds change (the
-rounding dive and the branch-and-bound nodes). Each step leaves on the row
-of the largest bound violation (lowest row on ties), forms that row of
-``B^-1 N`` from one ``btran`` and one product with the transposed matrix,
-and scans only the row's nonzeros. It enters by a Harris ratio test: among
-the movable nonbasic columns whose dual ratio lies within the bound relaxed
-by ``tol_opt``, the largest pivot magnitude, then the lowest index. No
-eligible column on a fresh factorization proves the LP infeasible. Reduced
-costs are updated along the row and recomputed at each refactorization.
-Once the basic values are feasible the primal loop takes over and normally
-confirms optimality without a pivot. The dual phase hands over to the
-primal loop early if its objective stalls for ``STALL_LIMIT`` iterations.
+Dual phase. Every solve, cold or warm, starts with a bounded-variable dual
+simplex. A movable nonbasic column whose reduced cost is dual infeasible
+first gets a cost shift of ``-d_j``, which makes its reduced cost zero, so
+any start is dual feasible ("cost modification", Koberstein, *The dual
+simplex method*, PhD thesis, Paderborn 2005, ch. 4). The cold logical basis
+of the sizing MILP (nonnegative costs at finite lower bounds) and the warm
+basis of an optimal parent solve after only column bounds change (the
+rounding dive and the branch-and-bound nodes) need no shift. Each step
+leaves on the row of the largest bound violation (lowest row on ties),
+forms that row of ``B^-1 N`` from one ``btran`` and one product with the
+transposed matrix, and scans only the row's nonzeros. It enters by a Harris
+ratio test: among the movable nonbasic columns whose dual ratio lies within
+the bound relaxed by ``TOL_OPT``, the largest pivot magnitude, then the
+lowest index. No eligible column on a fresh factorization proves the LP
+infeasible. Reduced costs are updated along the row and recomputed at each
+refactorization. After ``STALL_LIMIT`` iterations in which the dual
+objective does not rise, Bland's rule takes over: the violated row whose
+basic column has the lowest index leaves, and the lowest index among the
+exact ratio ties enters.
 
-Primal loop. Phase 1 minimizes the total bound violation of the basic
-variables with a piecewise-linear composite objective, which lets it start
-from any basis; it solves the starts that are not dual feasible. Pricing is
-Dantzig with a Bland fallback that engages when the objective stalls, so
-the method terminates on degenerate models.
+Primal loop. Once the basic values are feasible, the primal simplex takes
+the shifts off, restoring the true costs, and pivots to optimality or to an
+unbounded ray; without a shift it confirms optimality without a pivot.
+Pricing is Dantzig with a Bland fallback that engages when the objective
+stalls, so the method terminates on degenerate models. If a basic value
+drifts past a bound by more than ``TOL_FEAS``, the basis goes back to the
+dual phase, which shifts costs again where it needs to.
 
 Tolerances follow the package contract: primal feasibility and dual
 optimality both 1e-7. Determinism: every tie in pricing and in the ratio
@@ -48,7 +53,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import NumericalError
-from .milp_instance import GE, LE, MilpInstance
+from .milp_instance import MilpInstance
 
 BASIC, AT_LOWER, AT_UPPER, FREE = 0, 1, 2, 3
 
@@ -65,6 +70,8 @@ REFACTOR_INTERVAL = 64
 STALL_LIMIT = 300
 PIVOT_TOL = 1e-9
 TIE_TOL = 1e-9
+TOL_FEAS = 1e-7   # primal feasibility
+TOL_OPT = 1e-7    # dual optimality
 
 
 @dataclass
@@ -97,12 +104,11 @@ def standardize(instance: MilpInstance) -> StandardForm:
     m, n = instance.n_rows, instance.n_cols
     matrix = sp.hstack([instance.matrix.tocsc(),
                         sp.identity(m, format="csc")], format="csc")
-    senses = np.array(instance.row_sense)
-    lo = np.where(senses == GE, -np.inf, 0.0)
-    hi = np.where(senses == LE, np.inf, 0.0)
-    return StandardForm(matrix=matrix, matrix_t=matrix.T.tocsr(),
-                        rhs=instance.rhs.astype(float), n_struct=n,
-                        logical_lower=lo, logical_upper=hi)
+    rhs = instance.rhs.astype(float)
+    row_lower, row_upper = instance.row_bounds()
+    return StandardForm(matrix=matrix, matrix_t=matrix.T.tocsr(), rhs=rhs,
+                        n_struct=n, logical_lower=rhs - row_upper,
+                        logical_upper=rhs - row_lower)
 
 
 class _Factor:
@@ -187,8 +193,6 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
                   lower: np.ndarray, upper: np.ndarray, *,
                   basis: np.ndarray | None = None,
                   col_status: np.ndarray | None = None,
-                  tol_feas: float = 1e-7, tol_opt: float = 1e-7,
-                  max_iter: int | None = None,
                   deadline: float | None = None) -> LpResult:
     """Solve min c.x over A x + s = b with column bounds.
 
@@ -197,7 +201,7 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
     ``col_status`` of a previous result warm-starts the solve. When
     ``time.perf_counter()`` passes ``deadline`` the solve stops with status
     ``time_limit``. An optimal point is returned inside its bounds: basic
-    values within ``tol_feas`` outside a bound are clipped onto it.
+    values within ``TOL_FEAS`` outside a bound are clipped onto it.
     """
     m = form.matrix.shape[0]
     n_total = form.n_struct + m
@@ -206,13 +210,9 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
     u_full = np.concatenate([np.asarray(upper, dtype=float), form.logical_upper])
     if np.any(l_full > u_full):
         return LpResult("infeasible", None, None, None, None, 0)
-    if m == 0:
-        return _solve_unconstrained(c_full, l_full, u_full)
-    if max_iter is None:
-        max_iter = 200 * (m + form.n_struct) + 20_000
+    max_iter = 200 * n_total + 20_000
 
-    warm = basis is not None and col_status is not None
-    if not warm:
+    if basis is None or col_status is None:
         basis, status = _cold_start(form, l_full, u_full)
     else:
         basis = np.array(basis, dtype=np.int64)
@@ -225,6 +225,9 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
     movable = (u_full - l_full) > 0.0
     # (rate_up[j], rate_dn[j]) is _ENTER_RATE[status[j]], or zero for a fixed column.
     rate_up, rate_dn = (_ENTER_RATE[status] * movable[:, None]).T.copy()
+    # The costs the phases price with: the true costs, plus the dual phase's
+    # shifts until the primal phase takes them off again.
+    cost = c_full.copy()
 
     def set_status(j, value):
         status[j] = value
@@ -268,13 +271,17 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
         set_status(j_out, AT_UPPER if leaves_upper else AT_LOWER)
         set_status(j_in, BASIC)
         basis[r] = j_in
-        c_b[r], l_b[r], u_b[r] = c_full[j_in], l_full[j_in], u_full[j_in]
+        c_b[r], l_b[r], u_b[r] = cost[j_in], l_full[j_in], u_full[j_in]
         factor.update(r, w)
         if factor.age >= REFACTOR_INTERVAL:
             refactor()
 
     def reduced_costs():
-        return c_full - form.matrix_t @ factor.btran(c_b)
+        return cost - form.matrix_t @ factor.btran(c_b)
+
+    def violations():
+        x_b = x[basis]
+        return x_b, np.maximum(l_b - x_b, x_b - u_b)
 
     def time_up():
         return deadline is not None and time.perf_counter() > deadline
@@ -290,36 +297,38 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
                                  f"(m={m}, n={form.n_struct})")
 
     def dual_phase():
-        """Dual simplex from any dual feasible start, cold or warm, to primal
-        feasibility.
+        """Dual simplex from any start, cold or warm, to primal feasibility.
 
-        Returns an ``LpResult`` when the solve ends here (``infeasible`` or
-        ``time_limit``), or None to hand the basis to the primal loop: when
-        the basic values are feasible, when the starting basis is not dual
-        feasible (the primal phase 1 then solves it), or when the dual
-        objective stalls for ``STALL_LIMIT`` iterations.
+        Every movable nonbasic column whose reduced cost is dual infeasible
+        first gets its cost shifted by ``-d_j``, so the start is dual
+        feasible. Returns an ``LpResult`` when the solve ends here
+        (``infeasible`` or ``time_limit``), or None once the basic values
+        are feasible.
         """
         d = reduced_costs()
-        if np.minimum(d * rate_up, d * rate_dn).min() < -tol_opt:
-            return None
+        shift = np.flatnonzero(np.minimum(d * rate_up, d * rate_dn) < -TOL_OPT)
+        cost[shift] -= d[shift]
+        d[shift] = 0.0
         unit = np.zeros(m)
         stall, last_merit = 0, -np.inf
         while True:
             if time_up():
                 return stopped("time_limit")
-            x_b = x[basis]
-            violation = np.maximum(l_b - x_b, x_b - u_b)
-            r = int(np.argmax(violation))
-            if violation[r] <= tol_feas:
+            x_b, violation = violations()
+            if violation.max(initial=0.0) <= TOL_FEAS:
                 return None
-            merit = float(c_full @ x)  # the dual objective: rises or stalls
+            merit = float(cost @ x)  # the dual objective: rises or stalls
             if merit > last_merit + 1e-10 * max(1.0, abs(last_merit)):
                 stall = 0
             else:
                 stall += 1
-                if stall > STALL_LIMIT:
-                    return None
             last_merit = merit
+            bland = stall > STALL_LIMIT
+            if bland:  # the violated row whose basic column has the lowest index
+                rows = np.flatnonzero(violation > TOL_FEAS)
+                r = int(rows[np.argmin(basis[rows])])
+            else:
+                r = int(np.argmax(violation))
 
             # Row r of B^-1 N, signed so that a > 0 on a column that moves
             # the leaving value toward its violated bound by rising.
@@ -339,12 +348,15 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
                     d = reduced_costs()
                     continue
                 return stopped("infeasible")
-            # Harris ratio test: the largest |a| among the columns whose dual
-            # ratio lies within the bound relaxed by tol_opt.
             cand, g_cand = nz[keep], gain[keep]
             ratio = d[cand] / a[keep]
-            near = np.flatnonzero(ratio <= float((ratio + tol_opt / g_cand).min()))
-            k = int(near[np.argmax(g_cand[near])])
+            if bland:  # the lowest index among the exact ratio ties
+                k = int(np.argmax(ratio <= ratio.min() + TIE_TOL))
+            else:
+                # Harris ratio test: the largest |a| among the columns whose
+                # dual ratio lies within the bound relaxed by TOL_OPT.
+                near = np.flatnonzero(ratio <= float((ratio + TOL_OPT / g_cand).min()))
+                k = int(near[np.argmax(g_cand[near])])
             j_in = int(cand[k])
             t = max(float(ratio[k]), 0.0)
 
@@ -361,155 +373,114 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
                 d[nz] -= t * a
                 d[basis] = 0.0
 
-    recompute_basics()
+    def primal_phase():
+        """Primal simplex on the true costs from a primal feasible basis.
 
-    c_b, l_b, u_b = c_full[basis], l_full[basis], u_full[basis]
-    iterations = 0
-    ended = dual_phase()
-    if ended is not None:
-        return ended
-    bland = False
-    stall = 0
-    last_merit = np.inf
-    last_phase = None
-
-    while True:
-        if time_up():
-            return stopped("time_limit")
-        x_b = x[basis]
-        below = x_b < l_b - tol_feas
-        above = x_b > u_b + tol_feas
-        phase1 = bool(below.any() or above.any())
-        if phase1:
-            d = above.astype(float) - below.astype(float)
-            pi = factor.btran(d)
-            reduced = -(form.matrix_t @ pi)
-            merit = float((l_b - x_b)[below].sum() + (x_b - u_b)[above].sum())
-        else:
+        Takes off the dual phase's cost shifts and pivots to optimality or
+        to an unbounded ray. Pricing is Dantzig with a Bland fallback that
+        engages when the objective stalls. Returns an ``LpResult``, or None
+        to hand the basis back to the dual phase when a basic value has
+        drifted past a bound by more than ``TOL_FEAS``.
+        """
+        cost[:] = c_full
+        c_b[:] = c_full[basis]
+        stall, last_merit = 0, np.inf
+        while True:
+            if time_up():
+                return stopped("time_limit")
+            x_b, violation = violations()
+            if violation.max(initial=0.0) > TOL_FEAS:
+                return None
             reduced = reduced_costs()
             merit = float(c_full @ x)
+            if merit < last_merit - 1e-10 * max(1.0, abs(last_merit)):
+                stall = 0
+            else:
+                stall += 1
+            last_merit = merit
+            bland = stall > STALL_LIMIT
 
-        if phase1 is not last_phase:
-            stall, bland, last_merit = 0, False, np.inf
-            last_phase = phase1
-        if merit < last_merit - 1e-10 * max(1.0, abs(last_merit)):
-            stall = 0
-            bland = False
-        else:
-            stall += 1
-            if stall > STALL_LIMIT:
-                bland = True
-        last_merit = merit
+            # Entering column: most attractive reduced cost, or Bland on stall.
+            # score is -(improvement rate) of the best move each column may make.
+            score = np.minimum(reduced * rate_up, reduced * rate_dn)
+            j_in = int(np.argmin(score))
+            if score[j_in] >= -TOL_OPT:
+                scale = max(1.0, float(np.abs(form.rhs).max(initial=0.0)))
+                if _max_residual(form, x) > 1e-6 * scale:
+                    refactor()
+                    resid = _max_residual(form, x)
+                    if resid > 1e-6 * scale:
+                        raise NumericalError(
+                            f"optimal basis fails the row residual check "
+                            f"({resid:.3e} on rhs scale {scale:.3e})")
+                np.clip(x, l_full, u_full, out=x)
+                return LpResult("optimal", x.copy(), float(c_full @ x), basis.copy(),
+                                status.copy(), iterations)
 
-        # Entering column: most attractive reduced cost, or Bland on stall.
-        # score is -(improvement rate) of the best move each column may make.
-        score = np.minimum(reduced * rate_up, reduced * rate_dn)
-        j_in = int(np.argmin(score))
-        if score[j_in] >= -tol_opt:
-            if phase1:
-                return stopped("infeasible")
-            scale = max(1.0, float(np.abs(form.rhs).max(initial=0.0)))
-            if _max_residual(form, x) > 1e-6 * scale:
-                refactor()
-                resid = _max_residual(form, x)
-                if resid > 1e-6 * scale:
-                    raise NumericalError(
-                        f"optimal basis fails the row residual check "
-                        f"({resid:.3e} on rhs scale {scale:.3e})")
-            np.clip(x, l_full, u_full, out=x)
-            return LpResult("optimal", x.copy(), float(c_full @ x), basis.copy(),
-                            status.copy(), iterations)
+            if bland:
+                j_in = int(np.argmax(score < -TOL_OPT))
+            move_up = reduced[j_in] < 0.0
+            sigma = 1.0 if move_up else -1.0
 
-        if bland:
-            j_in = int(np.argmax(score < -tol_opt))
-        move_up = reduced[j_in] < 0.0
-        sigma = 1.0 if move_up else -1.0
+            w = entering_column(j_in)
+            rate = -sigma * w  # change of basic values per unit of entering move
 
-        w = entering_column(j_in)
-        rate = -sigma * w  # change of basic values per unit of entering move
+            theta, blockers = _ratio_test(x_b, l_b, u_b, rate)
+            theta_own = u_full[j_in] - l_full[j_in] if status[j_in] != FREE else np.inf
 
-        theta, blockers = _ratio_test(x_b, l_b, u_b, rate, below, above, phase1)
-        theta_own = u_full[j_in] - l_full[j_in] if status[j_in] != FREE else np.inf
+            if theta is None and not np.isfinite(theta_own):
+                ray = np.zeros(n_total)
+                ray[j_in] = sigma
+                ray[basis] = rate
+                return LpResult("unbounded", None, None, basis.copy(), status.copy(),
+                                iterations, ray=ray)
 
-        if theta is None and not np.isfinite(theta_own):
-            if phase1:
-                raise NumericalError("phase-1 descent is unbounded; the basis "
-                                     "values are numerically inconsistent")
-            ray = np.zeros(n_total)
-            ray[j_in] = sigma
-            ray[basis] = rate
-            return LpResult("unbounded", None, None, basis.copy(), status.copy(),
-                            iterations, ray=ray)
+            count_iteration()
 
-        count_iteration()
+            if theta is None or theta_own < theta - TIE_TOL:
+                # Bound flip: the entering column crosses to its other bound.
+                x[basis] = x_b + rate * theta_own
+                x[j_in] = u_full[j_in] if move_up else l_full[j_in]
+                set_status(j_in, AT_UPPER if move_up else AT_LOWER)
+                continue
 
-        if theta is None or theta_own < theta - TIE_TOL:
-            # Bound flip: the entering column crosses to its other bound.
-            x[basis] = x_b + rate * theta_own
-            x[j_in] = u_full[j_in] if move_up else l_full[j_in]
-            set_status(j_in, AT_UPPER if move_up else AT_LOWER)
-            continue
+            # Leaving variable: largest pivot magnitude among tied blockers.
+            if bland:
+                r = int(blockers[np.argmin(basis[blockers])])
+            else:
+                r = int(blockers[np.argmax(np.abs(w[blockers]))])
+            if refused(r, j_in, w):
+                continue
+            pivot(r, j_in, w, sigma * theta, rate[r] > 0)
 
-        # Leaving variable: largest pivot magnitude among tied blockers.
-        if bland:
-            r = int(blockers[np.argmin(basis[blockers])])
-        else:
-            r = int(blockers[np.argmax(np.abs(w[blockers]))])
-        if refused(r, j_in, w):
-            continue
-        hit_upper = rate[r] > 0 and not (phase1 and below[r])
-        if phase1 and above[r]:
-            hit_upper = True
-        pivot(r, j_in, w, sigma * theta, hit_upper)
+    recompute_basics()
+
+    c_b, l_b, u_b = cost[basis], l_full[basis], u_full[basis]
+    iterations = 0
+    while True:
+        ended = dual_phase()
+        if ended is None:
+            ended = primal_phase()  # None: drifted, back to the dual phase
+        if ended is not None:
+            return ended
 
 
 def _max_residual(form: StandardForm, x: np.ndarray) -> float:
     return float(np.abs(form.rhs - form.matrix @ x).max(initial=0.0))
 
 
-def _ratio_test(x_b, l_b, u_b, rate, below, above, phase1):
+def _ratio_test(x_b, l_b, u_b, rate):
     """Largest step before a basic variable hits a blocking bound.
 
     Returns (theta, blocker candidate rows in ascending order) or
     (None, None) when no basic variable blocks. Only rows with
-    ``|rate| > PIVOT_TOL`` move. In phase 1, variables beyond a bound
-    block when they reach the violated bound (turning feasible); feasible
-    ones block at whichever bound they approach, exactly as in phase 2.
+    ``|rate| > PIVOT_TOL`` move; each blocks at the bound it approaches.
     """
     rows = np.flatnonzero(np.abs(rate) > PIVOT_TOL)
     rate = rate[rows]
-    lo, hi = l_b[rows], u_b[rows]
-    if phase1:
-        # A variable below its lower bound blocks there when rising and never
-        # when falling; one above its upper bound the other way round.
-        b, a = below[rows], above[rows]
-        lo, hi = (np.where(b, -np.inf, np.where(a, hi, lo)),
-                  np.where(a, np.inf, np.where(b, lo, hi)))
-    theta = (np.where(rate > 0.0, hi, lo) - x_b[rows]) / rate
+    theta = (np.where(rate > 0.0, u_b[rows], l_b[rows]) - x_b[rows]) / rate
     np.maximum(theta, 0.0, out=theta)
     best = float(theta.min(initial=np.inf))
     if best == np.inf:
         return None, None
     return best, rows[theta <= best + TIE_TOL]
-
-
-def _solve_unconstrained(c, lower, upper) -> LpResult:
-    """Degenerate no-row case: each column sits at its cheapest bound."""
-    x = np.zeros(len(c))
-    for j, cost in enumerate(c):
-        if cost > 0:
-            if not np.isfinite(lower[j]):
-                ray = np.zeros(len(c))
-                ray[j] = -1.0
-                return LpResult("unbounded", None, None, None, None, 0, ray=ray)
-            x[j] = lower[j]
-        elif cost < 0:
-            if not np.isfinite(upper[j]):
-                ray = np.zeros(len(c))
-                ray[j] = 1.0
-                return LpResult("unbounded", None, None, None, None, 0, ray=ray)
-            x[j] = upper[j]
-        else:
-            x[j] = lower[j] if np.isfinite(lower[j]) else \
-                (upper[j] if np.isfinite(upper[j]) else 0.0)
-    return LpResult("optimal", x, float(c @ x), None, None, 0)

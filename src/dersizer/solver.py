@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, OracleGuardError, SolverError
-from .milp_instance import GE, LE, MilpInstance
-from .simplex import StandardForm, simplex_solve, standardize
+from .milp_instance import MilpInstance
+from .simplex import simplex_solve, standardize
 
 INT_TOL = 1e-6
 
@@ -85,16 +85,11 @@ def _gap(incumbent: float, bound: float) -> float:
     return max(0.0, (incumbent - bound) / max(1.0, abs(incumbent)))
 
 
-def solve_lp(instance: MilpInstance, *, form: StandardForm | None = None,
-             lower: np.ndarray | None = None, upper: np.ndarray | None = None,
-             basis=None, col_status=None) -> SolveResult:
+def solve_lp(instance: MilpInstance) -> SolveResult:
     """Solve the LP relaxation (integrality dropped) with the simplex core."""
     started = time.perf_counter()
-    form = form if form is not None else standardize(instance)
-    lower = instance.col_lower if lower is None else lower
-    upper = instance.col_upper if upper is None else upper
-    res = simplex_solve(form, instance.objective, lower, upper,
-                        basis=basis, col_status=col_status)
+    res = simplex_solve(standardize(instance), instance.objective,
+                        instance.col_lower, instance.col_upper)
     return SolveResult(
         status=res.status,
         objective=res.objective,
@@ -167,10 +162,9 @@ class _Propagator:
 
     def __init__(self, instance: MilpInstance):
         coo = instance.matrix.tocoo()
-        senses = np.array(instance.row_sense)
         m = instance.n_rows
-        rhs = np.concatenate((np.where(senses != GE, instance.rhs, np.inf),
-                              np.where(senses != LE, -instance.rhs, np.inf)))
+        row_lower, row_upper = instance.row_bounds()
+        rhs = np.concatenate((row_upper, -row_lower))
         self.n_sides = 2 * m
         self.limit = rhs + _step(rhs)
         side = np.concatenate((coo.row, coo.row + m))
@@ -395,13 +389,6 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
 ORACLE_MAX_BINARIES = 16
 
 
-def _row_bounds(instance: MilpInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper activity bounds of every row, for HiGHS."""
-    senses = np.array(instance.row_sense)
-    return (np.where(senses == LE, -np.inf, instance.rhs),
-            np.where(senses == GE, np.inf, instance.rhs))
-
-
 def oracle_enumerate(instance: MilpInstance) -> SolveResult:
     """Certify the optimum by trying every 0/1 assignment of the binaries.
 
@@ -420,7 +407,7 @@ def oracle_enumerate(instance: MilpInstance) -> SolveResult:
             f"hard limit of {ORACLE_MAX_BINARIES}")
     started = time.perf_counter()
     # CSC, the layout HiGHS takes, so scipy does not convert it on every call.
-    constraints = LinearConstraint(instance.matrix.tocsc(), *_row_bounds(instance))
+    constraints = LinearConstraint(instance.matrix.tocsc(), *instance.row_bounds())
     lower, upper = instance.col_lower.copy(), instance.col_upper.copy()
     # Row ``bits`` of ``assignments`` gives binary ``pos`` the value of bit ``pos``.
     assignments = ((np.arange(2 ** len(binaries))[:, None] >> np.arange(len(binaries)))
@@ -459,7 +446,7 @@ def solve_external(instance: MilpInstance, options: SolveOptions) -> SolveResult
     if options.time_limit is not None:
         opts["time_limit"] = options.time_limit
     res = milp(c=instance.objective,
-               constraints=LinearConstraint(instance.matrix, *_row_bounds(instance)),
+               constraints=LinearConstraint(instance.matrix, *instance.row_bounds()),
                integrality=instance.col_binary.astype(int),
                bounds=Bounds(instance.col_lower, instance.col_upper),
                options=opts)

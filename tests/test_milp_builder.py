@@ -177,7 +177,7 @@ def test_product_reformulation_forces_u(x_value, y_value, expected_u):
     for sense in (1.0, -1.0):  # minimizing and maximizing u give the same value
         objective = np.zeros(instance.n_cols)
         objective[u] = sense
-        res = solve_lp(replace(instance, objective=objective), lower=lower, upper=upper)
+        res = solve_lp(replace(instance, objective=objective).with_bounds(lower, upper))
         assert res.status == "optimal"
         assert res.x[u] == pytest.approx(expected_u, abs=1e-7)
         assert res.x[k] == pytest.approx(x_value - expected_u, abs=1e-7)

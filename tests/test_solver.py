@@ -192,7 +192,7 @@ def case3_k2(packaged_profile, table_catalog, default_tariff):
 def test_reference_cold_root_takes_the_dual_phase(case3_k2):
     # Every cost is nonnegative at a finite lower bound, so the logical
     # basis is dual feasible. The dual phase solves the root in 1,234
-    # iterations; the primal phase 1 takes 1,475.
+    # iterations; the primal phase 1 the LP core once had took 1,475.
     res = solve_lp(case3_k2)
     assert res.status == "optimal"
     assert res.iterations < 1350
@@ -201,7 +201,7 @@ def test_reference_cold_root_takes_the_dual_phase(case3_k2):
 def test_reference_warm_starts_take_the_dual_phase(case3_k2):
     # The rounding dive re-solves from the root's optimal basis. The dual
     # phase does it in 1,430 iterations for the whole solve; rebuilding
-    # feasibility with the primal phase 1 instead takes 3,615.
+    # feasibility with the primal phase 1 the LP core once had took 3,615.
     res = solve_milp(case3_k2, SolveOptions(relative_gap=1e-3, backend="reference"))
     assert res.ok
     assert res.iterations < 2500
@@ -234,7 +234,7 @@ def test_propagation_refutes_only_infeasible_bounds():
         for seed in range(40):
             inst, _ = _tiny_instance(seed, case)
             propagator = solver._Propagator(inst)
-            constraints = LinearConstraint(inst.matrix, *solver._row_bounds(inst))
+            constraints = LinearConstraint(inst.matrix, *inst.row_bounds())
             binaries = inst.binary_indices
             draws = np.random.default_rng(seed).integers(0, 2, (8, len(binaries)))
             fixings = solver._dive_attempts(inst, solve_lp(inst).x) + [
