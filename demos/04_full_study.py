@@ -35,7 +35,7 @@ for label, getter in rows:
         values.append(f"{getter(solution):>9,.0f}")
     print(f"{label:>22}" + "".join(values))
 
-breakdowns = {n: c.breakdown for n, c in outcome.cases.items() if c.solved}
+breakdowns = {n: c.solution.breakdown for n, c in outcome.cases.items() if c.solved}
 savings = compare_cases(breakdowns)
 print("\nsavings vs the no-DER base:")
 for case in sorted(savings):

@@ -260,10 +260,10 @@ def _parse_timestamp(text: str, row: int) -> datetime:
         raise IngestionError(f"row {row}: bad timestamp {text!r}") from exc
 
 
-def parse_profile_csv(path, expected_columns=PROFILE_COLUMNS) -> AnnualProfile:
+def parse_profile_csv(path) -> AnnualProfile:
     """Read an hourly ``timestamp,load_kw,pv_pu`` CSV into an AnnualProfile.
 
-    The header must match ``expected_columns`` and timestamps must be
+    The header must match ``PROFILE_COLUMNS`` and timestamps must be
     strictly increasing with exactly one hour between rows. Gaps and
     duplicates are ingestion errors naming the offending timestamp;
     negative loads or PV availability outside [0, 1] are validation
@@ -281,15 +281,15 @@ def parse_profile_csv(path, expected_columns=PROFILE_COLUMNS) -> AnnualProfile:
             header = next(reader)
         except StopIteration:
             raise IngestionError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != tuple(expected_columns):
+        if tuple(h.strip() for h in header) != PROFILE_COLUMNS:
             raise IngestionError(
-                f"{path}: header {header!r} does not match {list(expected_columns)!r}")
+                f"{path}: header {header!r} does not match {list(PROFILE_COLUMNS)!r}")
         previous: datetime | None = None
         for row_number, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) != len(expected_columns):
-                raise IngestionError(f"row {row_number}: expected {len(expected_columns)} "
+            if len(row) != len(PROFILE_COLUMNS):
+                raise IngestionError(f"row {row_number}: expected {len(PROFILE_COLUMNS)} "
                                      f"fields, got {len(row)}")
             stamp = _parse_timestamp(row[0].strip(), row_number)
             if previous is not None:

@@ -1,8 +1,10 @@
 """Scalar cost arithmetic: annualization, bills, degradation and penalties.
 
 Every function here is pure and positively homogeneous of degree one in
-its series argument, which is what lets the same code price both MILP
-objective terms and post-solve reports. Per-day operating costs are
+its series argument. The audit prices every solution through these
+functions (``audit.recompute_cost_breakdown``); the MILP builder writes its
+objective coefficients itself, so the two stay independent and the audit
+checks the builder. Per-day operating costs are
 scaled to $/yr by the scenario-set weights: 365 for energy-like costs and
 12 for the demand charge (a monthly billing convention; the source tariff
 does not state the day-to-year conversion, so both weights stay

@@ -67,8 +67,7 @@ def expected_dimensions(n_scenarios: int, intervals: int, case: CaseSpec) -> dic
             "n_binary": 2 * s * t}
 
 
-def compute_big_m(scenario_set: ScenarioSet, catalog: DeviceCatalog,
-                  tariff: TariffPlan) -> dict[str, float]:
+def compute_big_m(scenario_set: ScenarioSet, catalog: DeviceCatalog) -> dict[str, float]:
     """Smallest documented valid big-M pair for the flow and battery rows.
 
     ``m_es`` is exact: the battery auxiliary never exceeds the battery
@@ -142,7 +141,7 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
     elif not 0.0 <= float(soc_boundary) <= 1.0:
         raise BuildError("fixed soc boundary must be a fraction in [0, 1]")
 
-    big_m = compute_big_m(scenario_set, catalog, tariff)
+    big_m = compute_big_m(scenario_set, catalog)
     m_flow = big_m["m_flow"] if big_m["m_flow"] > 0 else 1.0
     m_es = big_m["m_es"]
     es_on, pv_on = case.allow_es, case.allow_pv
@@ -416,7 +415,6 @@ def extract_solution(instance: MilpInstance, raw) -> SizingSolution:
         capacities=dict(zip(("pv", "es", "ic", "inv", "con"),
                             x[blocks["x"]].tolist())),
         grid=grid, islanded=islanded, breakdown=None,
-        scenario_ids=tuple(day.id for day in scenario_set.days),
         soc_boundary=instance.meta["soc_boundary"],
     )
     breakdown = recompute_cost_breakdown(solution, scenario_set,

@@ -6,11 +6,6 @@ objective. Names serve the LP-format export and lookups by name; indexed
 variables use the ``name_s{s}_t{t}`` convention so they stay legal
 LP-format identifiers. A model builder that needs its variables back by
 index records them itself (see ``milp_builder.variable_blocks``).
-
-:class:`ModelBuilder` is the scalar builder for hand-written models: one
-``add_col``/``add_row`` call per column or row, each checked as it is
-added. The sizing model does not use it; ``milp_builder.build_model`` lays
-out whole families as arrays and constructs the instance directly.
 """
 
 from __future__ import annotations
@@ -24,88 +19,6 @@ from .errors import BuildError
 
 LE, GE, EQ = "<=", ">=", "="
 _SENSES = (LE, GE, EQ)
-
-
-class ModelBuilder:
-    """Incremental column/row accumulator for a MilpInstance."""
-
-    def __init__(self):
-        self._col_names: list[str] = []
-        self._col_set: set[str] = set()
-        self._lower: list[float] = []
-        self._upper: list[float] = []
-        self._binary: list[bool] = []
-        self._objective: list[float] = []
-        self._row_names: list[str] = []
-        self._row_sense: list[str] = []
-        self._rhs: list[float] = []
-        self._coo_rows: list[int] = []
-        self._coo_cols: list[int] = []
-        self._coo_vals: list[float] = []
-
-    def add_col(self, name: str, lower: float = 0.0, upper: float = np.inf,
-                objective: float = 0.0, binary: bool = False) -> int:
-        if name in self._col_set:
-            raise BuildError(f"duplicate column {name}")
-        if binary and not (lower >= 0.0 and upper <= 1.0):
-            raise BuildError(f"binary column {name} must have bounds within [0, 1]")
-        if not lower <= upper:
-            raise BuildError(f"column {name}: lower {lower} exceeds upper {upper}")
-        index = len(self._col_names)
-        self._col_names.append(name)
-        self._col_set.add(name)
-        self._lower.append(float(lower))
-        self._upper.append(float(upper))
-        self._binary.append(bool(binary))
-        self._objective.append(float(objective))
-        return index
-
-    def add_row(self, name: str, coefficients: list[tuple[int, float]],
-                sense: str, rhs: float) -> int:
-        if sense not in _SENSES:
-            raise BuildError(f"row {name}: bad sense {sense!r}")
-        if not np.isfinite(rhs):
-            raise BuildError(f"row {name}: non-finite rhs")
-        row = len(self._row_names)
-        for col, value in coefficients:
-            if not 0 <= col < len(self._col_names):
-                raise BuildError(f"row {name}: unknown column index {col}")
-            if not np.isfinite(value):
-                raise BuildError(f"row {name}: non-finite coefficient on column {col}")
-            if value != 0.0:
-                self._coo_rows.append(row)
-                self._coo_cols.append(col)
-                self._coo_vals.append(float(value))
-        self._row_names.append(name)
-        self._row_sense.append(sense)
-        self._rhs.append(float(rhs))
-        return row
-
-    @property
-    def n_cols(self) -> int:
-        return len(self._col_names)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self._row_names)
-
-    def build(self, meta: dict | None = None) -> "MilpInstance":
-        n_rows, n_cols = len(self._row_names), len(self._col_names)
-        matrix = sp.coo_matrix(
-            (self._coo_vals, (self._coo_rows, self._coo_cols)),
-            shape=(n_rows, n_cols)).tocsr()
-        return MilpInstance(
-            col_names=tuple(self._col_names),
-            col_lower=np.array(self._lower),
-            col_upper=np.array(self._upper),
-            col_binary=np.array(self._binary, dtype=bool),
-            objective=np.array(self._objective),
-            row_names=tuple(self._row_names),
-            row_sense=tuple(self._row_sense),
-            rhs=np.array(self._rhs),
-            matrix=matrix,
-            meta=dict(meta or {}),
-        )
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,8 @@ def _select_medoids(dist: np.ndarray, k: int) -> list[int]:
 
 
 def _assign(dist: np.ndarray, chosen: list[int]) -> np.ndarray:
-    assignment = np.argmin(dist[:, chosen], axis=1)
+    """Representative position of each day, from days x representatives distances."""
+    assignment = np.argmin(dist, axis=1)
     for position, day_index in enumerate(chosen):
         assignment[day_index] = position
     return assignment
@@ -102,7 +103,7 @@ def reduce_scenarios(profile: AnnualProfile, cfg: ReductionConfig,
     features = _feature_matrix(profile, cfg.feature)
     dist = cdist(features, features)
     chosen = _select_medoids(dist, cfg.k)
-    assignment = _assign(dist, chosen)
+    assignment = _assign(dist[:, chosen], chosen)
     counts = np.bincount(assignment, minlength=len(chosen))
 
     days = []
@@ -141,9 +142,7 @@ def reconstruction_error(profile: AnnualProfile, scenario_set: ScenarioSet,
         if not 0 <= day_index < features.shape[0]:
             raise ValidationError(f"representative day {day_index} outside profile")
     dist = cdist(features, features[chosen])
-    assignment = np.argmin(dist, axis=1)
-    for position, day_index in enumerate(chosen):
-        assignment[day_index] = position
+    assignment = _assign(dist, chosen)
     per_day = dist[np.arange(dist.shape[0]), assignment]
     return float(per_day.mean())
 

@@ -318,7 +318,7 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
             if violation.max(initial=0.0) <= TOL_FEAS:
                 return None
             merit = float(cost @ x)  # the dual objective: rises or stalls
-            if merit > last_merit + 1e-10 * max(1.0, abs(last_merit)):
+            if merit > last_merit + 1e-10 * max(1.0, abs(merit)):
                 stall = 0
             else:
                 stall += 1
@@ -393,7 +393,7 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
                 return None
             reduced = reduced_costs()
             merit = float(c_full @ x)
-            if merit < last_merit - 1e-10 * max(1.0, abs(last_merit)):
+            if merit < last_merit - 1e-10 * max(1.0, abs(merit)):
                 stall = 0
             else:
                 stall += 1

@@ -92,7 +92,6 @@ class SizingSolution:
     grid: GridDispatch | None
     islanded: IslandedDispatch | None
     breakdown: CostBreakdown | None
-    scenario_ids: tuple[str, ...] = ()
     soc_boundary: str | float = "cyclic"
 
     @property

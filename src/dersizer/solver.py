@@ -69,10 +69,8 @@ class SolveResult:
     objective: float | None
     x: np.ndarray | None              # structural column values
     achieved_gap: float = 0.0
-    best_bound: float | None = None
     nodes: int = 0
     iterations: int = 0
-    wall_time: float = 0.0
     node_log: list[str] = field(default_factory=list)
     ray: np.ndarray | None = None
 
@@ -87,16 +85,13 @@ def _gap(incumbent: float, bound: float) -> float:
 
 def solve_lp(instance: MilpInstance) -> SolveResult:
     """Solve the LP relaxation (integrality dropped) with the simplex core."""
-    started = time.perf_counter()
     res = simplex_solve(standardize(instance), instance.objective,
                         instance.col_lower, instance.col_upper)
     return SolveResult(
         status=res.status,
         objective=res.objective,
         x=None if res.x is None else res.x[:instance.n_cols].copy(),
-        best_bound=res.objective,
         iterations=res.iterations,
-        wall_time=time.perf_counter() - started,
         ray=None if res.ray is None else res.ray[:instance.n_cols].copy(),
     )
 
@@ -245,11 +240,11 @@ def _dive_attempts(instance: MilpInstance, x: np.ndarray) -> list[dict]:
 
 def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResult:
     """Best-bound branch and bound over the bounded-simplex LP core."""
-    started = time.perf_counter()
+    deadline = (None if options.time_limit is None
+                else time.perf_counter() + options.time_limit)
     form = standardize(instance)
     binaries = instance.binary_indices
     log: list[str] = []
-    deadline = None if options.time_limit is None else started + options.time_limit
 
     def lp(fixes, warm=None):
         lower, upper = _apply_fixes(instance, fixes)
@@ -269,8 +264,7 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
     iterations = root.iterations
     if root.status in ("infeasible", "time_limit"):
         return SolveResult(root.status, None, None, achieved_gap=np.inf,
-                           iterations=iterations,
-                           wall_time=time.perf_counter() - started, node_log=log)
+                           iterations=iterations, node_log=log)
     if root.status == "unbounded":
         raise SolverError("LP relaxation is unbounded; the sizing model is "
                           "bounded below by construction, so the instance is "
@@ -365,22 +359,17 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
     if explored and incumbent_obj is not None:
         best_bound = incumbent_obj  # every node processed or pruned: bound closed
 
-    wall = time.perf_counter() - started
     if incumbent_obj is None:
-        if status == "time_limit":
-            return SolveResult("time_limit", None, None, achieved_gap=np.inf,
-                               best_bound=best_bound, nodes=nodes,
-                               iterations=iterations, wall_time=wall, node_log=log)
-        return SolveResult("infeasible", None, None, achieved_gap=np.inf,
-                           best_bound=best_bound, nodes=nodes,
-                           iterations=iterations, wall_time=wall, node_log=log)
+        return SolveResult("time_limit" if status == "time_limit" else "infeasible",
+                           None, None, achieved_gap=np.inf, nodes=nodes,
+                           iterations=iterations, node_log=log)
     achieved = _gap(incumbent_obj, best_bound)
     if status != "time_limit":
         status = "optimal" if achieved <= 1e-12 else "gap_optimal"
     incumbent_x = incumbent_x[:instance.n_cols].copy()
     return SolveResult(status, float(incumbent_obj), incumbent_x,
-                       achieved_gap=achieved, best_bound=best_bound, nodes=nodes,
-                       iterations=iterations, wall_time=wall, node_log=log)
+                       achieved_gap=achieved, nodes=nodes,
+                       iterations=iterations, node_log=log)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +394,6 @@ def oracle_enumerate(instance: MilpInstance) -> SolveResult:
         raise OracleGuardError(
             f"oracle guard: {len(binaries)} binary columns exceed the "
             f"hard limit of {ORACLE_MAX_BINARIES}")
-    started = time.perf_counter()
     # CSC, the layout HiGHS takes, so scipy does not convert it on every call.
     constraints = LinearConstraint(instance.matrix.tocsc(), *instance.row_bounds())
     lower, upper = instance.col_lower.copy(), instance.col_upper.copy()
@@ -424,13 +412,10 @@ def oracle_enumerate(instance: MilpInstance) -> SolveResult:
         if res.status == 0 and (best_obj is None or res.fun < best_obj - 1e-12):
             best_obj = float(res.fun)
             best_x = np.asarray(res.x)
-    wall = time.perf_counter() - started
     n_lp = int(np.count_nonzero(fits))
     if best_obj is None:
-        return SolveResult("infeasible", None, None, achieved_gap=np.inf,
-                           nodes=n_lp, wall_time=wall)
-    return SolveResult("optimal", best_obj, best_x, achieved_gap=0.0,
-                       best_bound=best_obj, nodes=n_lp, wall_time=wall)
+        return SolveResult("infeasible", None, None, achieved_gap=np.inf, nodes=n_lp)
+    return SolveResult("optimal", best_obj, best_x, achieved_gap=0.0, nodes=n_lp)
 
 
 # ---------------------------------------------------------------------------
@@ -441,20 +426,25 @@ def solve_external(instance: MilpInstance, options: SolveOptions) -> SolveResult
     """Solve with scipy's HiGHS ``milp`` behind the common result contract."""
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    started = time.perf_counter()
     opts = {"presolve": True, "mip_rel_gap": options.relative_gap, "disp": False}
     if options.time_limit is not None:
         opts["time_limit"] = options.time_limit
-    res = milp(c=instance.objective,
-               constraints=LinearConstraint(instance.matrix, *instance.row_bounds()),
-               integrality=instance.col_binary.astype(int),
-               bounds=Bounds(instance.col_lower, instance.col_upper),
-               options=opts)
-    wall = time.perf_counter() - started
+
+    def run(objective):
+        return milp(c=objective,
+                    constraints=LinearConstraint(instance.matrix, *instance.row_bounds()),
+                    integrality=instance.col_binary.astype(int),
+                    bounds=Bounds(instance.col_lower, instance.col_upper),
+                    options=opts)
+
+    res = run(instance.objective)
     if res.status == 2:
-        return SolveResult("infeasible", None, None, achieved_gap=np.inf,
-                           wall_time=wall)
-    if res.status == 3:
+        # HiGHS reports some feasible unbounded LPs as infeasible; a solve
+        # with a zero objective tells the two apart.
+        probe = run(np.zeros(instance.n_cols))
+        if probe.status not in (0, 1) or probe.x is None:
+            return SolveResult("infeasible", None, None, achieved_gap=np.inf)
+    if res.status in (2, 3):
         raise SolverError("external backend reports unbounded; the sizing "
                           "model is bounded below, so the instance violates "
                           "the solver contract")
@@ -465,15 +455,12 @@ def solve_external(instance: MilpInstance, options: SolveOptions) -> SolveResult
                           f"{res.message}")
     if res.x is None:
         if res.status == 1:
-            return SolveResult("time_limit", None, None, achieved_gap=np.inf,
-                               wall_time=wall)
+            return SolveResult("time_limit", None, None, achieved_gap=np.inf)
         raise SolverError(f"external backend failed: {res.message}")
     gap = float(res.mip_gap) if res.mip_gap is not None else 0.0
-    bound = float(res.mip_dual_bound) if res.mip_dual_bound is not None else None
     if res.status == 1:
         status = "time_limit"
     else:
         status = "optimal" if gap <= 1e-12 else "gap_optimal"
     return SolveResult(status, float(res.fun), np.asarray(res.x),
-                       achieved_gap=gap, best_bound=bound,
-                       nodes=int(res.mip_node_count or 0), wall_time=wall)
+                       achieved_gap=gap, nodes=int(res.mip_node_count or 0))

@@ -136,7 +136,6 @@ class CaseOutcome:
     case: int
     solution: SizingSolution | None
     audit: AuditReport | None
-    breakdown: CostBreakdown | None
     error: str | None = None
 
     @property
@@ -197,7 +196,8 @@ def _write_results_csv(path: Path, cases: dict[int, CaseOutcome],
             if not outcome.solved:
                 row.append("n/a")
                 continue
-            sol, bd = outcome.solution, outcome.breakdown
+            sol = outcome.solution
+            bd = sol.breakdown
             value = {
                 "pv_kw": sol.capacities["pv"],
                 "es_kw": sol.capacities["es"],
@@ -293,7 +293,7 @@ def run_study(config: StudyConfig) -> StudyOutcome:
             raw = solve_milp(instance, config.solve)
         except DersizerError as exc:
             solve_failed = True
-            outcomes[case_number] = CaseOutcome(case_number, None, None, None,
+            outcomes[case_number] = CaseOutcome(case_number, None, None,
                                                 error=str(exc))
             continue
         if not raw.ok:
@@ -301,15 +301,14 @@ def run_study(config: StudyConfig) -> StudyOutcome:
             solution = None
             if raw.status == "infeasible":
                 solution = extract_solution(instance, raw)
-            outcomes[case_number] = CaseOutcome(case_number, solution, None, None,
+            outcomes[case_number] = CaseOutcome(case_number, solution, None,
                                                 error=f"solve status {raw.status}")
             continue
         solution = extract_solution(instance, raw)
         audit = check_solution(solution, scenario_set, config.catalog, tariff)
         if not audit.ok:
             audit_flagged = True
-        outcomes[case_number] = CaseOutcome(case_number, solution, audit,
-                                            solution.breakdown)
+        outcomes[case_number] = CaseOutcome(case_number, solution, audit)
 
         audit_path = out / f"audit_case{case_number}.txt"
         header = (f"case {case_number} status={solution.status} "
@@ -322,7 +321,7 @@ def run_study(config: StudyConfig) -> StudyOutcome:
                                 solution, s)
 
     _write_results_csv(out / "results.csv", outcomes, scenario_set)
-    solved_breakdowns = {c: o.breakdown for c, o in outcomes.items() if o.solved}
+    solved_breakdowns = {c: o.solution.breakdown for c, o in outcomes.items() if o.solved}
     if 0 in solved_breakdowns and len(solved_breakdowns) > 1:
         _write_savings_csv(out / "savings.csv", compare_cases(solved_breakdowns))
 

@@ -10,12 +10,32 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dersizer import (CaseSpec, DeviceCatalog, LoadSplitSpec, ReductionConfig,
                       ScenarioSet, SolveOptions, TariffPlan, build_model,
                       check_solution, extract_solution, packaged_profile_path,
                       parse_profile_csv, reduce_scenarios, solve_milp)
 from dersizer.data_model import AnnualProfile, DayScenario
+from dersizer.milp_instance import MilpInstance
+
+
+def dense_instance(cost, lower, upper, matrix, senses, rhs, binary=None) -> MilpInstance:
+    """A validated instance from dense arrays, columns ``x0…`` and rows ``r0…``."""
+    n, m = len(cost), len(rhs)
+    instance = MilpInstance(
+        col_names=tuple(f"x{j}" for j in range(n)),
+        col_lower=np.array(lower, dtype=float),
+        col_upper=np.array(upper, dtype=float),
+        col_binary=np.zeros(n, dtype=bool) if binary is None
+        else np.array(binary, dtype=bool),
+        objective=np.array(cost, dtype=float),
+        row_names=tuple(f"r{i}" for i in range(m)),
+        row_sense=tuple(senses),
+        rhs=np.array(rhs, dtype=float),
+        matrix=sp.csr_matrix(np.array(matrix, dtype=float).reshape(m, n)))
+    instance.validate()
+    return instance
 
 
 def make_profile(load: np.ndarray, pv: np.ndarray) -> AnnualProfile:

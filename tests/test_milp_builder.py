@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dersizer import (CaseSpec, DeviceCatalog, ScenarioSet, SolveOptions,
                       TariffPlan, build_model, compute_big_m, extract_solution,
@@ -14,10 +15,10 @@ from dersizer import milp_builder
 from dersizer.data_model import DayScenario
 from dersizer.errors import BuildError, SolverError
 from dersizer.milp_builder import expected_dimensions, variable_blocks
-from dersizer.milp_instance import LE, ModelBuilder
+from dersizer.milp_instance import LE
 from dersizer.solver import SolveResult
 
-from conftest import tiny_sizing_inputs
+from conftest import dense_instance, tiny_sizing_inputs
 
 
 def _flat_day(load=10.0, pv=0.5, t=2, probability=1.0, id="d0"):
@@ -33,13 +34,13 @@ def _tariff(t):
 
 def test_big_m_es_is_battery_cap():
     scen = ScenarioSet(days=(_flat_day(),))
-    assert compute_big_m(scen, DeviceCatalog(), _tariff(2))["m_es"] == 350.0
+    assert compute_big_m(scen, DeviceCatalog())["m_es"] == 350.0
 
 
 def test_big_m_degenerate_zero_then_builder_substitutes_one():
     scen = ScenarioSet(days=(_flat_day(load=0.0),))
     catalog = DeviceCatalog(pv_max=0.0, es_max=0.0)
-    values = compute_big_m(scen, catalog, _tariff(2))
+    values = compute_big_m(scen, catalog)
     assert values["m_flow"] == 0.0
     instance = build_model(scen, catalog, _tariff(2), CaseSpec.from_number(3))
     assert instance.meta["m_flow"] == 1.0
@@ -48,7 +49,7 @@ def test_big_m_degenerate_zero_then_builder_substitutes_one():
 def test_big_m_flow_formula_on_fixture_scale():
     day = _flat_day(load=846.0)
     scen = ScenarioSet(days=(day,))
-    values = compute_big_m(scen, DeviceCatalog(), _tariff(2))
+    values = compute_big_m(scen, DeviceCatalog())
     assert values["m_flow"] == pytest.approx(846 + 400 * 0.98 + 350 * 0.93,
                                              abs=1e-12)
     assert values["m_flow"] == pytest.approx(1563.5, abs=1e-12)
@@ -343,16 +344,17 @@ def test_instance_validation_catches_corruption():
         bad.validate()
 
 
-def test_model_builder_guards():
-    b = ModelBuilder()
-    x = b.add_col("x", 0.0, 1.0)
-    with pytest.raises(BuildError, match="duplicate"):
-        b.add_col("x")
-    with pytest.raises(BuildError, match="binary"):
-        b.add_col("b", 0.0, 2.0, binary=True)
-    with pytest.raises(BuildError, match="sense"):
-        b.add_row("r", [(x, 1.0)], "<", 0.0)
-    with pytest.raises(BuildError, match="unknown column"):
-        b.add_row("r", [(99, 1.0)], LE, 0.0)
-    with pytest.raises(BuildError, match="non-finite"):
-        b.add_row("r", [(x, np.inf)], LE, 0.0)
+@pytest.mark.parametrize("fault, message", [
+    ({"col_names": ("x0", "x0")}, "duplicate column"),
+    ({"col_upper": np.array([1.0, 2.0])}, "binary column"),
+    ({"row_sense": ("<",)}, "bad row sense '<'"),
+    ({"rhs": np.array([np.nan])}, "non-finite rhs"),
+    ({"objective": np.array([np.inf, 0.0])}, "non-finite objective"),
+    ({"matrix": sp.csr_matrix([[np.inf, 1.0]])}, "non-finite constraint coefficient"),
+], ids=["duplicate-name", "binary-above-1", "bad-sense", "nan-rhs", "inf-objective",
+        "inf-coefficient"])
+def test_instance_validation_names_the_fault(fault, message):
+    instance = dense_instance([1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [[1.0, 1.0]],
+                              [LE], [1.0], binary=[False, True])
+    with pytest.raises(BuildError, match=message):
+        replace(instance, **fault).validate()

@@ -9,35 +9,28 @@ import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from dersizer import simplex, solve_lp
-from dersizer.milp_instance import EQ, GE, LE, ModelBuilder
+from dersizer.milp_instance import EQ, GE, LE
 from dersizer.simplex import TOL_FEAS, simplex_solve, standardize
 
-
-def _instance(cols, rows):
-    b = ModelBuilder()
-    for name, lo, hi, obj in cols:
-        b.add_col(name, lo, hi, obj)
-    for i, (coeffs, sense, rhs) in enumerate(rows):
-        b.add_row(f"r{i}", list(enumerate(coeffs)), sense, rhs)
-    return b.build()
+from conftest import dense_instance
 
 
 def test_min_x_at_least_three():
-    inst = _instance([("x", 0.0, np.inf, 1.0)], [([1.0], GE, 3.0)])
+    inst = dense_instance([1.0], [0.0], [np.inf], [[1.0]], [GE], [3.0])
     res = solve_lp(inst)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(3.0, abs=1e-9)
 
 
 def test_max_x_below_five():
-    inst = _instance([("x", 0.0, np.inf, -1.0)], [([1.0], LE, 5.0)])
+    inst = dense_instance([-1.0], [0.0], [np.inf], [[1.0]], [LE], [5.0])
     res = solve_lp(inst)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-5.0, abs=1e-9)
 
 
 def test_unbounded_gives_certificate_ray():
-    inst = _instance([("x", 0.0, np.inf, -1.0)], [([1.0], GE, 0.0)])
+    inst = dense_instance([-1.0], [0.0], [np.inf], [[1.0]], [GE], [0.0])
     res = solve_lp(inst)
     assert res.status == "unbounded"
     ray = res.ray
@@ -47,14 +40,13 @@ def test_unbounded_gives_certificate_ray():
 
 
 def test_infeasible_box():
-    inst = _instance([("x", 0.0, np.inf, 1.0)],
-                     [([1.0], LE, 1.0), ([1.0], GE, 2.0)])
+    inst = dense_instance([1.0], [0.0], [np.inf], [[1.0], [1.0]], [LE, GE], [1.0, 2.0])
     assert solve_lp(inst).status == "infeasible"
 
 
 def test_equality_with_free_variable():
-    inst = _instance([("x", -np.inf, np.inf, 1.0), ("y", 0.0, np.inf, 2.0)],
-                     [([1.0, 1.0], EQ, 4.0), ([1.0, -1.0], LE, 1.0)])
+    inst = dense_instance([1.0, 2.0], [-np.inf, 0.0], [np.inf, np.inf],
+                          [[1.0, 1.0], [1.0, -1.0]], [EQ, LE], [4.0, 1.0])
     res = solve_lp(inst)
     assert res.status == "optimal"
     # x free: push x up to the x - y <= 1 face, y down; optimum at (2.5, 1.5)
@@ -91,13 +83,7 @@ def _random_lp(seed, nonneg=False):
     c = rng.normal(0, 1, n)
     if nonneg:
         c = np.abs(c)
-    b = ModelBuilder()
-    for j in range(n):
-        b.add_col(f"x{j}", 0.0, upper[j], c[j])
-    for i in range(m):
-        coeffs = [(j, matrix[i, j]) for j in range(n) if matrix[i, j] != 0.0]
-        b.add_row(f"r{i}", coeffs, senses[i], rhs[i])
-    return b.build()
+    return dense_instance(c, np.zeros(n), upper, matrix, senses, rhs)
 
 
 # Seeds 0-24 with the costs as drawn, then again with nonnegative costs.
@@ -195,13 +181,7 @@ def _general_lp(seed):
         matrix[-1] = matrix[0]
         senses[0], rhs[0] = GE, y0[0] - 0.5
         senses[-1], rhs[-1] = LE, y0[0] - 1.0
-    b = ModelBuilder()
-    for j in range(n):
-        b.add_col(f"x{j}", lower[j], upper[j], cost[j])
-    for i in range(m):
-        b.add_row(f"r{i}", [(j, matrix[i, j]) for j in range(n) if matrix[i, j] != 0.0],
-                  senses[i], rhs[i])
-    return b.build()
+    return dense_instance(cost, lower, upper, matrix, senses, rhs)
 
 
 def _highs(inst, objective):
@@ -211,10 +191,10 @@ def _highs(inst, objective):
     return {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status], res.fun
 
 
-@pytest.mark.parametrize("stall_limit", [simplex.STALL_LIMIT, 0], ids=["default", "bland"])
+@pytest.mark.parametrize("stall_limit", [simplex.STALL_LIMIT, -1], ids=["default", "bland"])
 def test_general_lps_match_highs(monkeypatch, stall_limit):
-    # With a stall limit of 0 both Bland rules run (808 dual and 218 primal
-    # Bland iterations over the set).
+    # With a stall limit of -1 every iteration takes Bland's rule (952 dual
+    # and 345 primal Bland iterations over the set).
     monkeypatch.setattr(simplex, "STALL_LIMIT", stall_limit)
     statuses = []
     for seed in range(400):
@@ -298,25 +278,31 @@ def test_warm_start_matches_cold_after_bound_change(seed, nonneg):
 
 
 def test_degenerate_duplicate_rows_terminate():
-    b = ModelBuilder()
-    x = b.add_col("x", 0.0, 10.0, 1.0)
-    y = b.add_col("y", 0.0, 10.0, 1.0)
-    for i in range(6):  # the same face six times over
-        b.add_row(f"dup{i}", [(x, 1.0), (y, 1.0)], GE, 4.0)
-    res = solve_lp(b.build())
+    # The same face x + y >= 4 six times over.
+    res = solve_lp(dense_instance([1.0, 1.0], [0.0, 0.0], [10.0, 10.0],
+                                  [[1.0, 1.0]] * 6, [GE] * 6, [4.0] * 6))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(4.0, abs=1e-9)
 
 
-def test_fixed_columns_are_respected():
-    b = ModelBuilder()
-    x = b.add_col("x", 2.0, 2.0, 1.0)
-    y = b.add_col("y", 0.0, 10.0, 1.0)
-    b.add_row("r", [(x, 1.0), (y, 1.0)], GE, 5.0)
-    res = solve_lp(b.build())
+def test_bland_rule_waits_for_a_stall(monkeypatch):
+    # The first iteration of a phase is no stall, so even a stall limit of
+    # 0 leaves it to the largest violation: x0 + x1 >= 5 leaves, and one
+    # pivot solves the LP. Bland's rule would take row 0 first.
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 0)
+    res = solve_lp(dense_instance([1.0, 1.0], [0.0, 0.0], [np.inf, np.inf],
+                                  [[1.0, 1.0], [1.0, 1.0]], [GE, GE], [1.0, 5.0]))
     assert res.status == "optimal"
-    assert res.x[x] == pytest.approx(2.0)
-    assert res.x[y] == pytest.approx(3.0, abs=1e-9)
+    assert res.objective == pytest.approx(5.0, abs=1e-9)
+    assert res.iterations == 1
+
+
+def test_fixed_columns_are_respected():
+    res = solve_lp(dense_instance([1.0, 1.0], [2.0, 0.0], [2.0, 10.0],
+                                  [[1.0, 1.0]], [GE], [5.0]))
+    assert res.status == "optimal"
+    assert res.x[0] == pytest.approx(2.0)
+    assert res.x[1] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_factor_solves_match_dense_across_refactors():

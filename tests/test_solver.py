@@ -10,9 +10,9 @@ from dersizer import (CaseSpec, LoadSplitSpec, ReductionConfig, SolveOptions,
                       build_model, extract_solution, oracle_enumerate,
                       reduce_scenarios, solve_lp, solve_milp)
 from dersizer.errors import NumericalError, OracleGuardError, SolverError
-from dersizer.milp_instance import GE, ModelBuilder
+from dersizer.milp_instance import GE
 
-from conftest import tiny_sizing_inputs
+from conftest import dense_instance, tiny_sizing_inputs
 
 
 def _tiny_instance(seed, case=3):
@@ -29,11 +29,8 @@ def test_solve_options_validation():
 
 
 def test_binaries_fixed_by_bounds_reduce_to_lp():
-    b = ModelBuilder()
-    x = b.add_col("x", 0.0, 10.0, 1.0)
-    z = b.add_col("z", 1.0, 1.0, 5.0, binary=True)
-    b.add_row("r", [(x, 1.0), (z, 4.0)], GE, 6.0)
-    inst = b.build()
+    inst = dense_instance([1.0, 5.0], [0.0, 1.0], [10.0, 1.0], [[1.0, 4.0]],
+                          [GE], [6.0], binary=[False, True])
     lp = solve_lp(inst)
     milp = solve_milp(inst, SolveOptions(relative_gap=1e-9, backend="reference"))
     assert milp.status == "optimal"
@@ -42,21 +39,15 @@ def test_binaries_fixed_by_bounds_reduce_to_lp():
 
 
 def test_oracle_zero_binaries_equals_lp():
-    b = ModelBuilder()
-    x = b.add_col("x", 0.0, 10.0, 1.0)
-    b.add_row("r", [(x, 1.0)], GE, 3.0)
-    inst = b.build()
+    inst = dense_instance([1.0], [0.0], [10.0], [[1.0]], [GE], [3.0])
     assert oracle_enumerate(inst).objective == pytest.approx(
         solve_lp(inst).objective, abs=1e-9)
 
 
 def test_oracle_one_binary_is_min_of_two_lps():
     # One big-M row: x >= 5 available only when z = 1, at a fixed cost of 3.
-    b = ModelBuilder()
-    x = b.add_col("x", 0.0, 10.0, 1.0)
-    z = b.add_col("z", 0.0, 1.0, 3.0, binary=True)
-    b.add_row("need", [(x, 1.0), (z, 5.0)], GE, 5.0)
-    inst = b.build()
+    inst = dense_instance([1.0, 3.0], [0.0, 0.0], [10.0, 1.0], [[1.0, 5.0]],
+                          [GE], [5.0], binary=[False, True])
     res = oracle_enumerate(inst)
     # z=0 branch costs 5 (x=5); z=1 branch costs 3 (x=0): oracle takes 3.
     assert res.objective == pytest.approx(3.0, abs=1e-9)
@@ -64,12 +55,10 @@ def test_oracle_one_binary_is_min_of_two_lps():
 
 
 def test_oracle_guard_refuses_17_binaries():
-    b = ModelBuilder()
-    for i in range(17):
-        b.add_col(f"z{i}", 0.0, 1.0, 1.0, binary=True)
-    b.add_row("r", [(0, 1.0)], GE, 0.0)
+    inst = dense_instance(np.ones(17), np.zeros(17), np.ones(17),
+                          [np.eye(17)[0]], [GE], [0.0], binary=[True] * 17)
     with pytest.raises(OracleGuardError, match="17"):
-        oracle_enumerate(b.build())
+        oracle_enumerate(inst)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -134,15 +123,23 @@ def test_time_limit_returns_incumbent_status():
 
 
 def test_infeasible_instance_reported():
-    b = ModelBuilder()
-    x = b.add_col("x", 0.0, 1.0, 1.0)
-    z = b.add_col("z", 0.0, 1.0, 0.0, binary=True)
-    b.add_row("r1", [(x, 1.0), (z, 1.0)], GE, 3.0)
-    inst = b.build()
+    inst = dense_instance([1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [[1.0, 1.0]],
+                          [GE], [3.0], binary=[False, True])
     for backend in ("reference", "external", "oracle"):
         res = solve_milp(inst, SolveOptions(backend=backend))
         assert res.status == "infeasible", backend
         assert not res.ok
+
+
+@pytest.mark.parametrize("seed", [32, 2070])
+def test_external_raises_on_unbounded_lps_highs_calls_infeasible(seed):
+    # HiGHS gives status 2 (infeasible) for these feasible unbounded draws.
+    from test_simplex import _general_lp
+
+    inst = _general_lp(seed)
+    assert solve_lp(inst).status == "unbounded"
+    with pytest.raises(SolverError, match="unbounded"):
+        solve_milp(inst, SolveOptions(backend="external"))
 
 
 def test_extracted_solution_satisfies_audit():
