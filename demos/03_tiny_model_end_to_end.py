@@ -7,11 +7,9 @@ constraint from the extracted dispatch. Also dumps the instance as an LP
 file for inspection with any external solver.
 """
 
-import numpy as np
-
 from dersizer import (CaseSpec, DeviceCatalog, ScenarioSet, SolveOptions,
                       TariffPlan, build_model, check_solution, extract_solution,
-                      oracle_enumerate, solve_milp, write_lp)
+                      solve_milp, write_lp)
 from dersizer.data_model import DayScenario
 
 day = DayScenario(id="day000", probability=1.0,

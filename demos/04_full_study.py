@@ -20,22 +20,19 @@ print(f"study finished with exit code {outcome.exit_code}; "
       f"outputs in {outcome.output_dir}/")
 
 print(f"{'':>22}" + "".join(f"case {n:>2}   " for n in sorted(outcome.cases)))
-rows = [("PV (kW)", lambda s: s.capacities["pv"]),
-        ("ES (kW)", lambda s: s.capacities["es"]),
-        ("inverter (kW)", lambda s: s.capacities["inv"]),
-        ("DC/DC converter (kW)", lambda s: s.capacities["con"]),
-        ("interfacing (kW)", lambda s: s.capacities["ic"]),
-        ("energy charges ($)", lambda s: s.breakdown.energy_charges),
-        ("demand charges ($)", lambda s: s.breakdown.demand_charges),
-        ("total payment ($)", lambda s: s.breakdown.total_payment)]
+rows = [("PV (kW)", lambda c: c.solution.capacities["pv"]),
+        ("ES (kW)", lambda c: c.solution.capacities["es"]),
+        ("inverter (kW)", lambda c: c.solution.capacities["inv"]),
+        ("DC/DC converter (kW)", lambda c: c.solution.capacities["con"]),
+        ("interfacing (kW)", lambda c: c.solution.capacities["ic"]),
+        ("energy charges ($)", lambda c: c.audit.breakdown.energy_charges),
+        ("demand charges ($)", lambda c: c.audit.breakdown.demand_charges),
+        ("total payment ($)", lambda c: c.audit.breakdown.total_payment)]
 for label, getter in rows:
-    values = []
-    for n in sorted(outcome.cases):
-        solution = outcome.cases[n].solution
-        values.append(f"{getter(solution):>9,.0f}")
+    values = [f"{getter(outcome.cases[n]):>9,.0f}" for n in sorted(outcome.cases)]
     print(f"{label:>22}" + "".join(values))
 
-breakdowns = {n: c.solution.breakdown for n, c in outcome.cases.items() if c.solved}
+breakdowns = {n: c.audit.breakdown for n, c in outcome.cases.items() if c.solved}
 savings = compare_cases(breakdowns)
 print("\nsavings vs the no-DER base:")
 for case in sorted(savings):

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .data_model import DeviceCatalog, ScenarioSet, TariffPlan
 from .errors import AuditError
 from .finance import (CostBreakdown, annualize_expected, degradation_cost,
@@ -42,7 +40,7 @@ class AuditViolation:
 class AuditReport:
     violations: tuple[AuditViolation, ...]
     max_residual: float
-    objective_recomputed: float
+    breakdown: CostBreakdown
     objective_delta: float
     tolerance: float
 
@@ -57,7 +55,7 @@ class AuditReport:
             "(per-day charge scaled by the annual demand weight)",
             f"tolerance: {self.tolerance:g}",
             f"max normalized residual: {self.max_residual:.3e}",
-            f"objective recomputed: {self.objective_recomputed:.6f}",
+            f"objective recomputed: {self.breakdown.total:.6f}",
             f"objective delta vs solver: {self.objective_delta:.6e}",
             f"violations: {len(self.violations)}",
         ]
@@ -120,7 +118,7 @@ def check_solution(solution: SizingSolution, scenario_set: ScenarioSet,
 
     Returns a report with one entry per violated constraint instance
     (family, scenario, interval, normalized residual) plus the recomputed
-    objective and its delta against the solver's.
+    cost breakdown and its total's delta against the solver's objective.
     """
     if solution.grid is None or solution.islanded is None:
         raise AuditError("solution has no dispatch blocks to audit")
@@ -168,11 +166,10 @@ def check_solution(solution: SizingSolution, scenario_set: ScenarioSet,
             nl_ac, nl_dc = day.nl_ac[t], day.nl_dc[t]
             avail = day.pv_availability[t]
             p_grid = grid.p_grid[s, t]
-            v = grid.pv_output[s, t]
+            v = grid.v_pv[s, t]
             dch_ac, dch_dc = grid.dch_ac[s, t], grid.dch_dc[s, t]
             ch_ac, ch_dc = grid.ch_ac[s, t], grid.ch_dc[s, t]
-            f_ac, f_in, f_out = grid.flow_ac[s, t], grid.flow_dc_in[s, t], \
-                grid.flow_dc_out[s, t]
+            f_ac, f_in, f_out = grid.f_ac[s, t], grid.f_dc_in[s, t], grid.f_dc_out[s, t]
             z, y = grid.z_flow[s, t], grid.y_dch[s, t]
             u, k = grid.u_dch[s, t], grid.k_dch[s, t]
             soc_prev, soc_now = grid.soc[s, t], grid.soc[s, t + 1]
@@ -219,11 +216,11 @@ def check_solution(solution: SizingSolution, scenario_set: ScenarioSet,
             c.at_most("ic_sizing", sid, t, f_out, x_ic)
 
             # Islanded one-interval contingency fed by soc carried into t.
-            iv = isl.pv_output[s, t]
-            idch_ac, idch_dc = isl.dch_ac[s, t], isl.dch_dc[s, t]
-            if_ac, if_in, if_out = isl.flow_ac[s, t], isl.flow_dc_in[s, t], \
-                isl.flow_dc_out[s, t]
-            zi = isl.z_flow[s, t]
+            iv = isl.i_v_pv[s, t]
+            idch_ac, idch_dc = isl.i_dch_ac[s, t], isl.i_dch_dc[s, t]
+            if_ac, if_in, if_out = isl.i_f_ac[s, t], isl.i_f_dc_in[s, t], \
+                isl.i_f_dc_out[s, t]
+            zi = isl.i_z_flow[s, t]
             lcl_ac, lcl_dc = isl.shed_cl_ac[s, t], isl.shed_cl_dc[s, t]
             lnl_ac, lnl_dc = isl.shed_nl_ac[s, t], isl.shed_nl_dc[s, t]
 
@@ -257,10 +254,8 @@ def check_solution(solution: SizingSolution, scenario_set: ScenarioSet,
             c.at_most("ic_sizing_isl", sid, t, if_out, x_ic)
 
     breakdown = recompute_cost_breakdown(solution, scenario_set, catalog, tariff)
-    objective = solution.objective if solution.objective is not None else np.nan
-    delta = abs(breakdown.total - objective)
     return AuditReport(violations=tuple(c.violations),
                        max_residual=c.max_residual,
-                       objective_recomputed=breakdown.total,
-                       objective_delta=float(delta),
+                       breakdown=breakdown,
+                       objective_delta=float(abs(breakdown.total - solution.objective)),
                        tolerance=tol)

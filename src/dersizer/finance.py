@@ -13,7 +13,7 @@ configurable on :class:`~dersizer.data_model.ScenarioSet`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,11 +43,6 @@ class CostBreakdown:
     def total_payment(self) -> float:
         """Utility bill alone (energy plus demand charges)."""
         return self.energy_charges + self.demand_charges
-
-    def as_dict(self) -> dict[str, float]:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["total"] = self.total
-        return out
 
 
 def capital_recovery_factor(rate: float, years: int) -> float:

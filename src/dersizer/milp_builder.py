@@ -43,12 +43,11 @@ concurrently.
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import scipy.sparse as sp
 
-from .audit import recompute_cost_breakdown
 from .data_model import DeviceCatalog, ScenarioSet, TariffPlan, validate_scenario_set
 from .errors import BuildError, SolverError
 from .milp_instance import EQ, GE, LE, MilpInstance
@@ -328,9 +327,6 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
             "m_es": m_es,
             "soc_boundary": soc_boundary,
             "expected_dimensions": expected,
-            "scenario_set": scenario_set,
-            "catalog": catalog,
-            "tariff": tariff,
             "binary_safe_value": safe,
         })
     instance.validate()
@@ -354,69 +350,32 @@ def variable_blocks(instance: MilpInstance) -> dict[str, np.ndarray]:
 
 
 def extract_solution(instance: MilpInstance, raw) -> SizingSolution:
-    """Map a raw solver result back to named capacities and dispatch blocks.
+    """Map a raw solver result to capacities and dispatch blocks.
 
-    The solution's cost breakdown comes from the audit's
-    ``recompute_cost_breakdown``, the one place that prices a solution.
-    Infeasible results come back as an explicit infeasible solution, never
-    a partial one. Unknown or unbounded statuses violate the solver
-    contract for this model (it is bounded below by construction).
+    Every dispatch field is named after a variable family and reads the
+    solution at that family's columns (:func:`variable_blocks`); a family
+    the case does not build reads as zeros. Extraction does not price the
+    point, the audit does. A result without a point (infeasible, or a time
+    limit with no incumbent) has no solution, and an unbounded or unknown
+    status violates the solver contract for this model (it is bounded
+    below by construction): both raise :class:`SolverError`.
     """
-    case: CaseSpec = instance.meta["case"]
-    if raw.status == "infeasible":
-        return SizingSolution(case=case, status="infeasible", objective=None,
-                              gap=np.inf, capacities={}, grid=None, islanded=None,
-                              breakdown=None)
     if raw.status not in ("optimal", "gap_optimal", "time_limit") or raw.x is None:
         raise SolverError(f"cannot extract from solver status {raw.status!r}")
-
     x = np.asarray(raw.x, dtype=float)
-    n_s = instance.meta["scenarios"]
-    t_count = instance.meta["intervals"]
+    n_s, t_count = instance.meta["scenarios"], instance.meta["intervals"]
     blocks = variable_blocks(instance)
-    scenario_set: ScenarioSet = instance.meta["scenario_set"]
 
-    def block(family: str, shape=(n_s, t_count)) -> np.ndarray:
-        return x[blocks[family]] if family in blocks else np.zeros(shape)
+    def fill(dispatch):
+        return dispatch(**{
+            f.name: x[blocks[f.name]] if f.name in blocks
+            else np.zeros((n_s, t_count + 1 if f.name == "soc" else t_count))
+            for f in fields(dispatch)})
 
-    grid = GridDispatch(
-        p_grid=block("p_grid"),
-        pv_output=block("v_pv"),
-        dch_ac=block("dch_ac"),
-        dch_dc=block("dch_dc"),
-        ch_ac=block("ch_ac"),
-        ch_dc=block("ch_dc"),
-        soc=block("soc", (n_s, t_count + 1)),
-        flow_ac=block("f_ac"),
-        flow_dc_in=block("f_dc_in"),
-        flow_dc_out=block("f_dc_out"),
-        z_flow=block("z_flow"),
-        y_dch=block("y_dch"),
-        u_dch=block("u_dch"),
-        k_dch=block("k_dch"),
-        p_peak=block("p_peak"),
-    )
-    islanded = IslandedDispatch(
-        pv_output=block("i_v_pv"),
-        dch_ac=block("i_dch_ac"),
-        dch_dc=block("i_dch_dc"),
-        flow_ac=block("i_f_ac"),
-        flow_dc_in=block("i_f_dc_in"),
-        flow_dc_out=block("i_f_dc_out"),
-        z_flow=block("i_z_flow"),
-        shed_cl_ac=block("shed_cl_ac"),
-        shed_cl_dc=block("shed_cl_dc"),
-        shed_nl_ac=block("shed_nl_ac"),
-        shed_nl_dc=block("shed_nl_dc"),
-    )
-    solution = SizingSolution(
-        case=case, status=raw.status, objective=float(raw.objective),
+    return SizingSolution(
+        case=instance.meta["case"], status=raw.status, objective=float(raw.objective),
         gap=float(getattr(raw, "achieved_gap", 0.0) or 0.0),
-        capacities=dict(zip(("pv", "es", "ic", "inv", "con"),
-                            x[blocks["x"]].tolist())),
-        grid=grid, islanded=islanded, breakdown=None,
+        capacities=dict(zip(("pv", "es", "ic", "inv", "con"), x[blocks["x"]].tolist())),
+        grid=fill(GridDispatch), islanded=fill(IslandedDispatch),
         soc_boundary=instance.meta["soc_boundary"],
     )
-    breakdown = recompute_cost_breakdown(solution, scenario_set,
-                                         instance.meta["catalog"], instance.meta["tariff"])
-    return replace(solution, breakdown=breakdown)

@@ -90,15 +90,6 @@ class MilpInstance:
             if sense not in _SENSES:
                 raise BuildError(f"bad row sense {sense!r}")
 
-    def with_bounds(self, lower: np.ndarray, upper: np.ndarray) -> "MilpInstance":
-        """Copy of the instance with replaced column bounds (same matrix)."""
-        return MilpInstance(
-            col_names=self.col_names, col_lower=np.asarray(lower, dtype=float),
-            col_upper=np.asarray(upper, dtype=float), col_binary=self.col_binary,
-            objective=self.objective, row_names=self.row_names,
-            row_sense=self.row_sense, rhs=self.rhs, matrix=self.matrix,
-            meta=self.meta)
-
 
 def _coef(value: float) -> str:
     return format(value, ".12g")

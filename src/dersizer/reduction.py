@@ -26,7 +26,6 @@ from scipy.spatial.distance import cdist
 from .data_model import AnnualProfile, DayScenario, LoadSplitSpec, ScenarioSet, split_loads
 from .errors import ConfigError, ValidationError
 
-REDUCTION_METHODS = ("greedy-kmedoids",)
 REDUCTION_FEATURES = ("load", "load+pv")
 
 
@@ -36,15 +35,12 @@ class ReductionConfig:
 
     k: int = 6
     feature: str = "load"
-    method: str = "greedy-kmedoids"
 
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError("k must be at least 1")
         if self.feature not in REDUCTION_FEATURES:
             raise ConfigError(f"feature must be one of {REDUCTION_FEATURES}")
-        if self.method not in REDUCTION_METHODS:
-            raise ConfigError(f"method must be one of {REDUCTION_METHODS}")
 
 
 def _zscore(values: np.ndarray) -> np.ndarray:

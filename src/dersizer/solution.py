@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .finance import CostBreakdown
 
 
 @dataclass(frozen=True)
@@ -42,20 +41,21 @@ class CaseSpec:
 class GridDispatch:
     """Grid-connected operating blocks, all shaped (scenarios, intervals).
 
+    Each field is named after the builder's variable family it holds.
     ``soc`` has one extra leading column for the start-of-day state, so
     ``soc[:, t]`` is the state after interval t with t counted from 1.
     """
 
     p_grid: np.ndarray
-    pv_output: np.ndarray
+    v_pv: np.ndarray
     dch_ac: np.ndarray
     dch_dc: np.ndarray
     ch_ac: np.ndarray
     ch_dc: np.ndarray
     soc: np.ndarray          # (S, T+1)
-    flow_ac: np.ndarray
-    flow_dc_in: np.ndarray
-    flow_dc_out: np.ndarray
+    f_ac: np.ndarray
+    f_dc_in: np.ndarray
+    f_dc_out: np.ndarray
     z_flow: np.ndarray
     y_dch: np.ndarray
     u_dch: np.ndarray
@@ -65,15 +65,18 @@ class GridDispatch:
 
 @dataclass(frozen=True)
 class IslandedDispatch:
-    """One-interval islanded contingency blocks, shaped (scenarios, intervals)."""
+    """One-interval islanded contingency blocks, shaped (scenarios, intervals).
 
-    pv_output: np.ndarray
-    dch_ac: np.ndarray
-    dch_dc: np.ndarray
-    flow_ac: np.ndarray
-    flow_dc_in: np.ndarray
-    flow_dc_out: np.ndarray
-    z_flow: np.ndarray
+    Each field is named after the builder's variable family it holds.
+    """
+
+    i_v_pv: np.ndarray
+    i_dch_ac: np.ndarray
+    i_dch_dc: np.ndarray
+    i_f_ac: np.ndarray
+    i_f_dc_in: np.ndarray
+    i_f_dc_out: np.ndarray
+    i_z_flow: np.ndarray
     shed_cl_ac: np.ndarray
     shed_cl_dc: np.ndarray
     shed_nl_ac: np.ndarray
@@ -82,19 +85,16 @@ class IslandedDispatch:
 
 @dataclass(frozen=True)
 class SizingSolution:
-    """Installed capacities, dispatch schedules and the audited cost split."""
+    """Installed capacities and dispatch schedules of one solved case.
+
+    Only a solve that returned a point has one; the audit prices it.
+    """
 
     case: CaseSpec
     status: str
-    objective: float | None
+    objective: float
     gap: float
     capacities: dict[str, float]
-    grid: GridDispatch | None
-    islanded: IslandedDispatch | None
-    breakdown: CostBreakdown | None
+    grid: GridDispatch
+    islanded: IslandedDispatch
     soc_boundary: str | float = "cyclic"
-
-    @property
-    def feasible(self) -> bool:
-        return self.status in ("optimal", "gap_optimal", "time_limit") \
-            and self.objective is not None

@@ -133,6 +133,8 @@ class StudyConfig:
 
 @dataclass
 class CaseOutcome:
+    """One case's solution and audit; both are None when its build or solve failed."""
+
     case: int
     solution: SizingSolution | None
     audit: AuditReport | None
@@ -140,7 +142,7 @@ class CaseOutcome:
 
     @property
     def solved(self) -> bool:
-        return self.solution is not None and self.solution.feasible
+        return self.solution is not None
 
 
 @dataclass
@@ -184,34 +186,31 @@ def _annual_shed_kwh(solution: SizingSolution, scenario_set: ScenarioSet) -> flo
     return scenario_set.annual_day_weight * float(scenario_set.probabilities @ per_day)
 
 
+def _results_column(outcome: CaseOutcome, scenario_set: ScenarioSet) -> list[str]:
+    """One case's formatted value of every metric, in ``RESULT_METRICS`` order."""
+    if not outcome.solved:
+        return ["n/a"] * len(RESULT_METRICS)
+    caps, bd = outcome.solution.capacities, outcome.audit.breakdown
+    values = {
+        "pv_kw": caps["pv"],
+        "es_kw": caps["es"],
+        "inverter_kw": caps["inv"],
+        "converter_kw": caps["con"],
+        "ic_kw": caps["ic"],
+        "energy_charges_usd": bd.energy_charges,
+        "demand_charges_usd": bd.demand_charges,
+        "total_payment_usd": bd.total_payment,
+        "shed_energy_kwh": _annual_shed_kwh(outcome.solution, scenario_set),
+    }
+    return [_fmt(values[metric]) for metric in RESULT_METRICS]
+
+
 def _write_results_csv(path: Path, cases: dict[int, CaseOutcome],
                        scenario_set: ScenarioSet) -> None:
     ordered = sorted(cases)
     header = ["metric"] + [f"case_{c}" for c in ordered]
-    rows = []
-    for metric in RESULT_METRICS:
-        row = [metric]
-        for case in ordered:
-            outcome = cases[case]
-            if not outcome.solved:
-                row.append("n/a")
-                continue
-            sol = outcome.solution
-            bd = sol.breakdown
-            value = {
-                "pv_kw": sol.capacities["pv"],
-                "es_kw": sol.capacities["es"],
-                "inverter_kw": sol.capacities["inv"],
-                "converter_kw": sol.capacities["con"],
-                "ic_kw": sol.capacities["ic"],
-                "energy_charges_usd": bd.energy_charges,
-                "demand_charges_usd": bd.demand_charges,
-                "total_payment_usd": bd.total_payment,
-                "shed_energy_kwh": _annual_shed_kwh(sol, scenario_set),
-            }[metric]
-            row.append(_fmt(value))
-        rows.append(row)
-    _write_csv(path, header, rows)
+    columns = [_results_column(cases[c], scenario_set) for c in ordered]
+    _write_csv(path, header, [list(row) for row in zip(RESULT_METRICS, *columns)])
 
 
 def _write_savings_csv(path: Path, table: dict[int, dict[str, float | None]]) -> None:
@@ -233,10 +232,10 @@ def _write_dispatch_csv(path: Path, solution: SizingSolution, s: int) -> None:
               "dch_ac_kw", "dch_dc_kw", "ic_flow_ac_kw", "soc_kwh"]
     rows = []
     for t in range(grid.p_grid.shape[1]):
-        rows.append([str(t + 1), _fmt(grid.p_grid[s, t]), _fmt(grid.pv_output[s, t]),
+        rows.append([str(t + 1), _fmt(grid.p_grid[s, t]), _fmt(grid.v_pv[s, t]),
                      _fmt(grid.ch_ac[s, t]), _fmt(grid.ch_dc[s, t]),
                      _fmt(grid.dch_ac[s, t]), _fmt(grid.dch_dc[s, t]),
-                     _fmt(grid.flow_ac[s, t]), _fmt(grid.soc[s, t + 1])])
+                     _fmt(grid.f_ac[s, t]), _fmt(grid.soc[s, t + 1])])
     _write_csv(path, header, rows)
 
 
@@ -298,10 +297,7 @@ def run_study(config: StudyConfig) -> StudyOutcome:
             continue
         if not raw.ok:
             solve_failed = True
-            solution = None
-            if raw.status == "infeasible":
-                solution = extract_solution(instance, raw)
-            outcomes[case_number] = CaseOutcome(case_number, solution, None,
+            outcomes[case_number] = CaseOutcome(case_number, None, None,
                                                 error=f"solve status {raw.status}")
             continue
         solution = extract_solution(instance, raw)
@@ -321,7 +317,7 @@ def run_study(config: StudyConfig) -> StudyOutcome:
                                 solution, s)
 
     _write_results_csv(out / "results.csv", outcomes, scenario_set)
-    solved_breakdowns = {c: o.solution.breakdown for c, o in outcomes.items() if o.solved}
+    solved_breakdowns = {c: o.audit.breakdown for c, o in outcomes.items() if o.solved}
     if 0 in solved_breakdowns and len(solved_breakdowns) > 1:
         _write_savings_csv(out / "savings.csv", compare_cases(solved_breakdowns))
 

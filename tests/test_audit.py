@@ -2,7 +2,6 @@
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from dersizer import (CaseSpec, DeviceCatalog, ScenarioSet, SolveOptions,
@@ -35,7 +34,7 @@ def test_corrupted_soc_flags_exactly_the_transition_rows():
     rho_cap = catalog.rho_ep * solution.capacities["es"]
     # Nudge one interior state by 1 kWh in a direction that keeps every
     # other family slack, so exactly the two adjacent transitions trip.
-    idch = solution.islanded.dch_ac + solution.islanded.dch_dc
+    idch = solution.islanded.i_dch_ac + solution.islanded.i_dch_dc
     bump = None
     for t in range(1, soc.shape[1] - 1):
         if soc[0, t] + 2.0 < catalog.alpha_max * rho_cap:

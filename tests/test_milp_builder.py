@@ -2,20 +2,21 @@
 case handling and solution extraction."""
 
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from dersizer import (CaseSpec, DeviceCatalog, ScenarioSet, SolveOptions,
-                      TariffPlan, build_model, compute_big_m, extract_solution,
-                      solve_lp, solve_milp, write_lp)
+                      TariffPlan, build_model, check_solution, compute_big_m,
+                      extract_solution, solve_lp, solve_milp, write_lp)
 from dersizer import milp_builder
 from dersizer.data_model import DayScenario
 from dersizer.errors import BuildError, SolverError
 from dersizer.milp_builder import expected_dimensions, variable_blocks
 from dersizer.milp_instance import LE
+from dersizer.solution import GridDispatch, IslandedDispatch
 from dersizer.solver import SolveResult
 
 from conftest import dense_instance, tiny_sizing_inputs
@@ -178,7 +179,8 @@ def test_product_reformulation_forces_u(x_value, y_value, expected_u):
     for sense in (1.0, -1.0):  # minimizing and maximizing u give the same value
         objective = np.zeros(instance.n_cols)
         objective[u] = sense
-        res = solve_lp(replace(instance, objective=objective).with_bounds(lower, upper))
+        res = solve_lp(replace(instance, objective=objective, col_lower=lower,
+                               col_upper=upper))
         assert res.status == "optimal"
         assert res.x[u] == pytest.approx(expected_u, abs=1e-7)
         assert res.x[k] == pytest.approx(x_value - expected_u, abs=1e-7)
@@ -251,8 +253,9 @@ def test_hand_computed_case0_objective(hand_case0):
     assert result.objective == pytest.approx(hand_case0["expected"], rel=1e-9)
     solution = extract_solution(instance, result)
     assert solution.capacities["ic"] == pytest.approx(31.25, abs=1e-7)
-    assert solution.breakdown.total == pytest.approx(hand_case0["expected"],
-                                                     rel=1e-9)
+    report = check_solution(solution, hand_case0["set"], hand_case0["catalog"],
+                            hand_case0["tariff"])
+    assert report.breakdown.total == pytest.approx(hand_case0["expected"], rel=1e-9)
 
 
 @pytest.mark.parametrize("case_number", [0, 3])
@@ -298,10 +301,8 @@ def test_extract_infeasible_is_explicit():
     scen, catalog, tariff = tiny_sizing_inputs(0)
     instance = build_model(scen, catalog, tariff, CaseSpec.from_number(3))
     raw = SolveResult(status="infeasible", objective=None, x=None)
-    solution = extract_solution(instance, raw)
-    assert solution.status == "infeasible"
-    assert not solution.feasible
-    assert solution.breakdown is None
+    with pytest.raises(SolverError, match="infeasible"):
+        extract_solution(instance, raw)
 
 
 def test_extract_rejects_unbounded_status():
@@ -310,6 +311,31 @@ def test_extract_rejects_unbounded_status():
     raw = SolveResult(status="unbounded", objective=None, x=None)
     with pytest.raises(SolverError):
         extract_solution(instance, raw)
+
+
+@pytest.mark.parametrize("case_number", [0, 1, 2, 3])
+def test_dispatch_fields_are_the_model_families(case_number):
+    scen, catalog, tariff = tiny_sizing_inputs(0)
+    families = variable_blocks(build_model(scen, catalog, tariff, CaseSpec.from_number(3)))
+    grid_names = [f.name for f in fields(GridDispatch)]
+    islanded_names = [f.name for f in fields(IslandedDispatch)]
+    assert sorted(grid_names + islanded_names) == sorted(set(families) - {"x"})
+
+    instance = build_model(scen, catalog, tariff, CaseSpec.from_number(case_number))
+    blocks = variable_blocks(instance)
+    x = np.arange(1.0, instance.n_cols + 1.0)  # column j reads j + 1
+    solution = extract_solution(instance, SolveResult(status="optimal", objective=0.0, x=x))
+    assert list(solution.capacities.values()) == [1.0, 2.0, 3.0, 4.0, 5.0]
+    n_s, t_count = len(scen.days), scen.intervals
+    for dispatch, names in ((solution.grid, grid_names),
+                            (solution.islanded, islanded_names)):
+        for name in names:
+            value = getattr(dispatch, name)
+            if name in blocks:
+                assert np.array_equal(value, blocks[name] + 1.0), name
+            else:
+                shape = (n_s, t_count + 1) if name == "soc" else (n_s, t_count)
+                assert value.shape == shape and not value.any(), name
 
 
 def test_fixed_soc_boundary_round_trips():
@@ -339,7 +365,7 @@ def test_instance_validation_catches_corruption():
     scen, catalog, tariff = tiny_sizing_inputs(0)
     instance = build_model(scen, catalog, tariff, CaseSpec.from_number(3))
     instance.validate()
-    bad = instance.with_bounds(instance.col_lower + 1e9, instance.col_upper)
+    bad = replace(instance, col_lower=instance.col_lower + 1e9)
     with pytest.raises(BuildError):
         bad.validate()
 

@@ -6,6 +6,7 @@ import pytest
 from dersizer import LoadSplitSpec, ReductionConfig, reconstruction_error, reduce_scenarios
 from dersizer.errors import ConfigError
 from dersizer.reduction import write_reduction_csv
+from dersizer.study import StudyConfig
 
 from conftest import make_profile
 
@@ -118,4 +119,4 @@ def test_bad_config_values():
     with pytest.raises(ConfigError):
         ReductionConfig(feature="weather")
     with pytest.raises(ConfigError):
-        ReductionConfig(method="submodular")
+        StudyConfig.from_dict({"reduction": {"method": "greedy-kmedoids"}})

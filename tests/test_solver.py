@@ -7,8 +7,8 @@ import pytest
 
 import dersizer.solver as solver
 from dersizer import (CaseSpec, LoadSplitSpec, ReductionConfig, SolveOptions,
-                      build_model, extract_solution, oracle_enumerate,
-                      reduce_scenarios, solve_lp, solve_milp)
+                      build_model, check_solution, extract_solution,
+                      oracle_enumerate, reduce_scenarios, solve_lp, solve_milp)
 from dersizer.errors import NumericalError, OracleGuardError, SolverError
 from dersizer.milp_instance import GE
 
@@ -143,7 +143,6 @@ def test_external_raises_on_unbounded_lps_highs_calls_infeasible(seed):
 
 
 def test_extracted_solution_satisfies_audit():
-    from dersizer import check_solution
     inst, (scen, catalog, tariff) = _tiny_instance(0)
     res = solve_milp(inst, SolveOptions(relative_gap=1e-6, backend="reference"))
     solution = extract_solution(inst, res)
@@ -154,10 +153,10 @@ def test_extracted_solution_satisfies_audit():
 @pytest.mark.parametrize("seed", [41, 214, 279, 393])
 def test_reference_extraction_survives_roundoff_below_bounds(seed):
     # These instances once returned capacities like -8.6e-48 from the simplex.
-    inst, _ = _tiny_instance(seed)
+    inst, (scen, catalog, tariff) = _tiny_instance(seed)
     res = solve_milp(inst, SolveOptions(relative_gap=1e-6, backend="reference"))
     assert res.ok
-    extract_solution(inst, res)
+    check_solution(extract_solution(inst, res), scen, catalog, tariff)
 
 
 def test_reference_points_lie_inside_column_bounds():

@@ -74,7 +74,7 @@ def test_run_study_outputs_and_audited_totals(tmp_path, small_profile_path):
                             "total_payment_usd", "shed_energy_kwh"}
     # Reported totals equal the audited recomputed breakdowns.
     for column, case in ((0, 0), (1, 3)):
-        breakdown = outcome.cases[case].solution.breakdown
+        breakdown = outcome.cases[case].audit.breakdown
         assert float(metrics["energy_charges_usd"][column]) == pytest.approx(
             breakdown.energy_charges, abs=5e-6)
         assert float(metrics["total_payment_usd"][column]) == pytest.approx(
