@@ -44,5 +44,9 @@ print(f"audit: {'clean' if report.ok else 'VIOLATIONS'} "
       f"objective delta {report.objective_delta:.2e})")
 
 print("node log (reference branch and bound):")
-for line in results["reference"].node_log[:5] or ["  (solved at the root)"]:
-    print(" ", line)
+for r in results["reference"].node_log[:5]:
+    incumbent = "none" if r.incumbent is None else f"{r.incumbent:.8g}"
+    print(f"  node={r.node} depth={r.depth} bound={r.bound:.8g} "
+          f"incumbent={incumbent} gap={r.gap:.3e}")
+if not results["reference"].node_log:
+    print("    (solved at the root)")

@@ -7,8 +7,8 @@ matrix path cannot certify itself; the big-M values are recomputed from
 their documented formulas locally.
 
 Residuals are normalized by max(1, |rhs|) per check, which puts kW-scale
-and $-scale rows on the same footing. The default tolerance (1e-6) is
-deliberately looser than the LP core's 1e-7 so correct solutions never
+and $-scale rows on the same footing. The tolerance, ``AUDIT_TOL`` (1e-6),
+is deliberately looser than the LP core's 1e-7 so correct solutions never
 false-positive.
 """
 
@@ -21,6 +21,8 @@ from .errors import AuditError
 from .finance import (CostBreakdown, annualize_expected, degradation_cost,
                       demand_charge, energy_charge, investment_cost, shedding_cost)
 from .solution import SizingSolution
+
+AUDIT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,6 @@ class AuditReport:
     max_residual: float
     breakdown: CostBreakdown
     objective_delta: float
-    tolerance: float
 
     @property
     def ok(self) -> bool:
@@ -53,7 +54,7 @@ class AuditReport:
             "solution audit",
             "demand charges use a monthly billing convention "
             "(per-day charge scaled by the annual demand weight)",
-            f"tolerance: {self.tolerance:g}",
+            f"tolerance: {AUDIT_TOL:g}",
             f"max normalized residual: {self.max_residual:.3e}",
             f"objective recomputed: {self.breakdown.total:.6f}",
             f"objective delta vs solver: {self.objective_delta:.6e}",
@@ -64,8 +65,7 @@ class AuditReport:
 
 
 class _Collector:
-    def __init__(self, tol: float):
-        self.tol = tol
+    def __init__(self):
         self.max_residual = 0.0
         self.violations: list[AuditViolation] = []
 
@@ -79,7 +79,7 @@ class _Collector:
 
     def _record(self, family, scenario, interval, measure):
         self.max_residual = max(self.max_residual, measure)
-        if measure > self.tol:
+        if measure > AUDIT_TOL:
             self.violations.append(AuditViolation(family, scenario, interval,
                                                   float(measure)))
 
@@ -112,8 +112,7 @@ def recompute_cost_breakdown(solution: SizingSolution, scenario_set: ScenarioSet
 
 
 def check_solution(solution: SizingSolution, scenario_set: ScenarioSet,
-                   catalog: DeviceCatalog, tariff: TariffPlan,
-                   tol: float = 1e-6) -> AuditReport:
+                   catalog: DeviceCatalog, tariff: TariffPlan) -> AuditReport:
     """Re-evaluate every model constraint at the solution point.
 
     Returns a report with one entry per violated constraint instance
@@ -135,7 +134,7 @@ def check_solution(solution: SizingSolution, scenario_set: ScenarioSet,
         m_flow = 1.0
     m_es = catalog.es_max
 
-    c = _Collector(tol)
+    c = _Collector()
     rho = catalog.rho_ep
 
     c.at_most("pv_cap", "sizing", None, x_pv,
@@ -257,5 +256,4 @@ def check_solution(solution: SizingSolution, scenario_set: ScenarioSet,
     return AuditReport(violations=tuple(c.violations),
                        max_residual=c.max_residual,
                        breakdown=breakdown,
-                       objective_delta=float(abs(breakdown.total - solution.objective)),
-                       tolerance=tol)
+                       objective_delta=float(abs(breakdown.total - solution.objective)))

@@ -1,7 +1,8 @@
 """Command line entry points: run a study, reduce a profile, validate a config.
 
-Exit codes: 0 ok, 1 solve failure, 2 audit violation, 3 config or I/O
-error.
+Exit codes (``study.EXIT_*``): 0 ok, 1 build or solve failure, 2 audit
+violation, 3 config or I/O error. ``validate`` builds every case without
+solving and exits with the code ``run`` reaches before its first solve.
 """
 
 from __future__ import annotations
@@ -11,15 +12,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .data_model import LoadSplitSpec, parse_profile_csv, validate_scenario_set
+from .data_model import LoadSplitSpec, parse_profile_csv
 from .errors import ConfigError, DersizerError, IngestionError, ValidationError
+from .milp_builder import build_model
 from .reduction import ReductionConfig, reduce_scenarios, write_reduction_csv
-from .study import StudyConfig, run_study
-
-EXIT_OK = 0
-EXIT_SOLVE = 1
-EXIT_AUDIT = 2
-EXIT_CONFIG = 3
+from .solution import CaseSpec
+from .study import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVE, StudyConfig, prepare_study,
+                    run_study)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,15 +97,19 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = StudyConfig.from_file(args.config)
-    profile = parse_profile_csv(config.profile)
-    scenario_set = reduce_scenarios(profile, config.reduction, config.split)
-    report = validate_scenario_set(scenario_set)
-    if not report.ok:
-        print(f"scenario set invalid:\n{report}")
-        return EXIT_CONFIG
-    print(f"config ok: {profile.whole_days} days, k={config.reduction.k}, "
-          f"cases {list(config.cases)}")
-    return EXIT_OK
+    profile, scenario_set, tariff = prepare_study(config)
+    exit_code = EXIT_OK
+    for case in config.cases:
+        try:
+            build_model(scenario_set, config.catalog, tariff, CaseSpec.from_number(case),
+                        soc_boundary=config.soc_boundary)
+        except DersizerError as exc:
+            print(f"case {case}: FAILED ({exc})")
+            exit_code = EXIT_SOLVE
+    if exit_code == EXIT_OK:
+        print(f"config ok: {profile.whole_days} days, k={config.reduction.k}, "
+              f"cases {list(config.cases)}")
+    return exit_code
 
 
 def main(argv=None) -> int:

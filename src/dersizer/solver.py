@@ -3,14 +3,15 @@
 Three interchangeable backends sit behind :func:`solve_milp`:
 
 ``reference``
-    In-repo branch and bound over the in-repo simplex core. Best-bound
-    node selection with a depth-first dive on ties, most-fractional
-    branching, and a root rounding heuristic that usually closes the gap
-    immediately on near-integral relaxations. Before a rounding attempt
-    reaches the simplex, activity-bound propagation over the rows checks
-    its column bounds; an attempt it proves infeasible is skipped as if
-    its LP had been infeasible, and no tightened bound ever reaches an LP.
-    Deterministic.
+    In-repo branch and bound over the in-repo simplex core: one
+    best-bound loop whose first node is the root, solved once, with a
+    depth-first dive on ties and most-fractional branching. A fractional
+    root runs a rounding heuristic before it branches, which usually
+    closes the gap immediately on near-integral relaxations. Before a
+    rounding attempt reaches the simplex, activity-bound propagation over
+    the rows checks its column bounds; an attempt it proves infeasible is
+    skipped as if its LP had been infeasible, and no tightened bound ever
+    reaches an LP. Deterministic.
 ``external``
     scipy's HiGHS-backed ``milp``. Much faster on full-size instances;
     same instance, same contract.
@@ -22,8 +23,9 @@ Three interchangeable backends sit behind :func:`solve_milp`:
     the two can certify each other.
 
 Each solve is single-threaded and deterministic; distinct instances may
-be solved concurrently. The reference backend streams one log line per
-processed node (id, bound, incumbent, gap) into ``SolveResult.node_log``.
+be solved concurrently. The reference backend keeps one ``NodeRecord``
+per node below the root (id, depth, bound, incumbent, gap) in
+``SolveResult.node_log``.
 A ``time_limit`` ends the ``reference`` and ``external`` backends with
 status ``time_limit``, keeping any incumbent; the reference backend
 checks it in every simplex iteration.
@@ -61,6 +63,17 @@ class SolveOptions:
             raise SolverError(f"backend must be one of {BACKENDS}")
 
 
+@dataclass(frozen=True)
+class NodeRecord:
+    """One branch-and-bound node below the root, recorded after its LP."""
+
+    node: int
+    depth: int
+    bound: float                      # the parent's LP objective
+    incumbent: float | None           # best objective before this node's LP
+    gap: float                        # inf without an incumbent
+
+
 @dataclass
 class SolveResult:
     """Outcome of a MILP or LP solve over a MilpInstance."""
@@ -71,7 +84,7 @@ class SolveResult:
     achieved_gap: float = 0.0
     nodes: int = 0
     iterations: int = 0
-    node_log: list[str] = field(default_factory=list)
+    node_log: list[NodeRecord] = field(default_factory=list)
     ray: np.ndarray | None = None
 
     @property
@@ -109,17 +122,6 @@ def solve_milp(instance: MilpInstance, options: SolveOptions | None = None) -> S
 
 # ---------------------------------------------------------------------------
 # Reference branch and bound
-
-
-class _Node:
-    __slots__ = ("bound", "depth", "fixes", "basis", "col_status")
-
-    def __init__(self, bound, depth, fixes, basis=None, col_status=None):
-        self.bound = bound
-        self.depth = depth
-        self.fixes = fixes          # {col: fixed binary value}
-        self.basis = basis
-        self.col_status = col_status
 
 
 def _apply_fixes(instance, fixes):
@@ -239,12 +241,16 @@ def _dive_attempts(instance: MilpInstance, x: np.ndarray) -> list[dict]:
 
 
 def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResult:
-    """Best-bound branch and bound over the bounded-simplex LP core."""
+    """Best-bound branch and bound over the bounded-simplex LP core.
+
+    The root is the first node (no fixings, a cold start, bound -inf) and is
+    solved once; a fractional root runs the rounding dive before it branches.
+    """
     deadline = (None if options.time_limit is None
                 else time.perf_counter() + options.time_limit)
     form = standardize(instance)
     binaries = instance.binary_indices
-    log: list[str] = []
+    log: list[NodeRecord] = []
 
     def lp(fixes, warm=None):
         lower, upper = _apply_fixes(instance, fixes)
@@ -260,104 +266,76 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
             return simplex_solve(form, instance.objective, lower, upper,
                                  deadline=deadline)
 
-    root = lp({})
-    iterations = root.iterations
-    if root.status in ("infeasible", "time_limit"):
-        return SolveResult(root.status, None, None, achieved_gap=np.inf,
-                           iterations=iterations, node_log=log)
-    if root.status == "unbounded":
-        raise SolverError("LP relaxation is unbounded; the sizing model is "
-                          "bounded below by construction, so the instance is "
-                          "outside the solver contract")
-
     incumbent_obj: float | None = None
     incumbent_x: np.ndarray | None = None
-
-    def frac_cols(x):
-        if len(binaries) == 0:
-            return np.array([], dtype=int)
-        values = x[binaries]
-        away = np.abs(values - np.round(values))
-        return binaries[away > INT_TOL]
 
     def try_incumbent(obj, x):
         nonlocal incumbent_obj, incumbent_x
         if incumbent_obj is None or obj < incumbent_obj - 1e-12 * max(1.0, abs(obj)):
             incumbent_obj, incumbent_x = obj, x.copy()
 
-    if len(frac_cols(root.x)):
-        propagator = _Propagator(instance)
-        for fixes in _dive_attempts(instance, root.x):
-            # Skipped as if the LP had found it infeasible.
-            if propagator.refutes(*_apply_fixes(instance, fixes)):
-                continue
-            dive = lp(fixes, warm=root)
-            iterations += dive.iterations
-            if dive.status == "time_limit":
-                break
-            if dive.status == "optimal":
-                try_incumbent(dive.objective, dive.x)
-                break
-    else:
-        try_incumbent(root.objective, root.x)
-
+    # (bound, -depth, counter, fixes, parent's LpResult as the warm start)
+    heap: list[tuple] = [(-np.inf, 0, 0, {}, None)]
     counter = 0
-    heap: list[tuple[float, int, int, _Node]] = []
-    if len(frac_cols(root.x)):
-        heapq.heappush(heap, (root.objective, 0, counter,
-                              _Node(root.objective, 0, {}, root.basis,
-                                    root.col_status)))
-    best_bound = root.objective
+    iterations = 0
     nodes = 0
     status = "optimal"
-    explored = False
 
-    while True:
-        if not heap:
-            explored = True
-            break
-        bound, _, _, node = heapq.heappop(heap)
+    while heap:
+        bound, neg_depth, _, fixes, warm = heapq.heappop(heap)
+        depth = -neg_depth
         best_bound = bound
         if incumbent_obj is not None and _gap(incumbent_obj, bound) <= options.relative_gap:
             break
         if deadline is not None and time.perf_counter() > deadline:
             status = "time_limit"
             break
-        nodes += 1
-        res = lp(node.fixes, warm=node)
+        res = lp(fixes, warm)
         iterations += res.iterations
-        inc_str = "none" if incumbent_obj is None else f"{incumbent_obj:.8g}"
-        gap_str = ("inf" if incumbent_obj is None
-                   else f"{_gap(incumbent_obj, bound):.3e}")
-        log.append(f"node={nodes} depth={node.depth} bound={bound:.8g} "
-                   f"incumbent={inc_str} gap={gap_str}")
+        if depth:
+            nodes += 1
+            log.append(NodeRecord(nodes, depth, bound, incumbent_obj,
+                                  np.inf if incumbent_obj is None
+                                  else _gap(incumbent_obj, bound)))
         if res.status == "infeasible":
             continue
         if res.status == "time_limit":
             status = "time_limit"
             break
-        if res.status != "optimal":
-            raise SolverError(f"node LP ended {res.status}")
+        if res.status == "unbounded":
+            # Every node's LP restricts the root's, so the root's is unbounded too.
+            raise SolverError("LP relaxation is unbounded; the sizing model is "
+                              "bounded below by construction, so the instance is "
+                              "outside the solver contract")
         if incumbent_obj is not None and res.objective >= incumbent_obj - 1e-12 * max(
                 1.0, abs(incumbent_obj)):
             continue
-        fractional = frac_cols(res.x)
-        if len(fractional) == 0:
+        values = res.x[binaries]
+        away = np.abs(values - np.round(values))
+        if not (away > INT_TOL).any():
             try_incumbent(res.objective, res.x)
             continue
-        values = res.x[fractional]
-        away = np.abs(values - np.round(values))
-        pick = int(fractional[np.argmax(away)])
+        if not depth:  # the root dives for an incumbent before it branches
+            propagator = _Propagator(instance)
+            for dive_fixes in _dive_attempts(instance, res.x):
+                # Skipped as if the LP had found it infeasible.
+                if propagator.refutes(*_apply_fixes(instance, dive_fixes)):
+                    continue
+                dive = lp(dive_fixes, warm=res)
+                iterations += dive.iterations
+                if dive.status == "time_limit":
+                    break
+                if dive.status == "optimal":
+                    try_incumbent(dive.objective, dive.x)
+                    break
+        pick = int(binaries[np.argmax(away)])  # most fractional, lowest index on ties
         for value in (0.0, 1.0):
             counter += 1
-            child = dict(node.fixes)
-            child[pick] = value
-            heapq.heappush(heap, (res.objective, -(node.depth + 1), counter,
-                                  _Node(res.objective, node.depth + 1, child,
-                                        res.basis, res.col_status)))
-
-    if explored and incumbent_obj is not None:
-        best_bound = incumbent_obj  # every node processed or pruned: bound closed
+            heapq.heappush(heap, (res.objective, -(depth + 1), counter,
+                                  {**fixes, pick: value}, res))
+    else:
+        if incumbent_obj is not None:
+            best_bound = incumbent_obj  # every node processed or pruned: bound closed
 
     if incumbent_obj is None:
         return SolveResult("time_limit" if status == "time_limit" else "infeasible",

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .audit import AuditReport, check_solution
-from .data_model import (DeviceCatalog, LoadSplitSpec, ScenarioSet, TariffPlan,
-                         packaged_profile_path, parse_profile_csv,
+from .data_model import (AnnualProfile, DeviceCatalog, LoadSplitSpec, ScenarioSet,
+                         TariffPlan, packaged_profile_path, parse_profile_csv,
                          validate_scenario_set)
 from .errors import ConfigError, DersizerError, IngestionError, ValidationError
 from .finance import CostBreakdown
@@ -35,6 +35,8 @@ RESULT_METRICS = ("pv_kw", "es_kw", "inverter_kw", "converter_kw", "ic_kw",
                   "total_payment_usd", "shed_energy_kwh")
 
 SAVINGS_COMPONENTS = ("energy_charges", "demand_charges", "total_payment", "total")
+
+EXIT_OK, EXIT_SOLVE, EXIT_AUDIT, EXIT_CONFIG = 0, 1, 2, 3
 
 
 def _fmt(value: float) -> str:
@@ -93,7 +95,11 @@ class StudyConfig:
                     peak_cap=float(t.pop("peak_cap", 1000.0)))
                 if t:
                     raise ConfigError(f"unknown tariff keys: {sorted(t)}")
-            weights = raw.get("weights", {})
+            weights = dict(raw.get("weights", {}))
+            annual_day_weight = float(weights.pop("annual_day_weight", 365.0))
+            annual_demand_weight = float(weights.pop("annual_demand_weight", 12.0))
+            if weights:
+                raise ConfigError(f"unknown weights keys: {sorted(weights)}")
             solve_raw = dict(raw.get("solve", {}))
             solve = SolveOptions(
                 relative_gap=float(solve_raw.pop("relative_gap", 1e-4)),
@@ -109,12 +115,12 @@ class StudyConfig:
                 reduction=ReductionConfig(**raw.get("reduction", {})),
                 catalog=DeviceCatalog(**raw.get("catalog", {})),
                 tariff=tariff,
-                annual_day_weight=float(weights.get("annual_day_weight", 365.0)),
-                annual_demand_weight=float(weights.get("annual_demand_weight", 12.0)),
+                annual_day_weight=annual_day_weight,
+                annual_demand_weight=annual_demand_weight,
                 solve=solve,
                 soc_boundary=raw.get("soc_boundary", "cyclic"),
             )
-        except (TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad study config: {exc}") from exc
 
     @classmethod
@@ -257,12 +263,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def run_study(config: StudyConfig) -> StudyOutcome:
-    """Run every requested case and write the study outputs.
+def prepare_study(config: StudyConfig) -> tuple[AnnualProfile, ScenarioSet, TariffPlan]:
+    """Ingest, reduce, weight and check the days, and pick the tariff.
 
-    Exit code 0 when every case solved and audited clean, 1 when any
-    solve failed or came back infeasible, 2 when a solve succeeded but
-    the audit flagged violations.
+    This is all that ``run_study`` and ``dersizer validate`` do before any case.
     """
     try:
         profile = parse_profile_csv(config.profile)
@@ -277,6 +281,18 @@ def run_study(config: StudyConfig) -> StudyOutcome:
         raise ConfigError(f"reduced scenario set invalid: {report}")
     tariff = config.tariff if config.tariff is not None \
         else TariffPlan.default_tou(scenario_set.intervals)
+    return profile, scenario_set, tariff
+
+
+def run_study(config: StudyConfig) -> StudyOutcome:
+    """Run every requested case and write the study outputs.
+
+    The exit code is ``EXIT_OK`` when every case solved and audited clean,
+    ``EXIT_SOLVE`` when any case failed to build or solve or came back
+    infeasible, and ``EXIT_AUDIT`` when every solve succeeded but an audit
+    flagged violations.
+    """
+    _, scenario_set, tariff = prepare_study(config)
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -285,9 +301,9 @@ def run_study(config: StudyConfig) -> StudyOutcome:
     solve_failed = False
     audit_flagged = False
     for case_number in config.cases:
-        case = CaseSpec.from_number(case_number)
         try:
-            instance = build_model(scenario_set, config.catalog, tariff, case,
+            instance = build_model(scenario_set, config.catalog, tariff,
+                                   CaseSpec.from_number(case_number),
                                    soc_boundary=config.soc_boundary)
             raw = solve_milp(instance, config.solve)
         except DersizerError as exc:
@@ -321,6 +337,6 @@ def run_study(config: StudyConfig) -> StudyOutcome:
     if 0 in solved_breakdowns and len(solved_breakdowns) > 1:
         _write_savings_csv(out / "savings.csv", compare_cases(solved_breakdowns))
 
-    exit_code = 1 if solve_failed else (2 if audit_flagged else 0)
+    exit_code = EXIT_SOLVE if solve_failed else (EXIT_AUDIT if audit_flagged else EXIT_OK)
     return StudyOutcome(exit_code=exit_code, scenario_set=scenario_set,
                         cases=outcomes, output_dir=out)

@@ -46,7 +46,7 @@ def test_criterion_1_oracle_equivalence():
         worst = max(worst, rel)
         assert rel <= 1e-6, f"seed {seed}: relative difference {rel:.3e}"
         solution = extract_solution(instance, reference)
-        report = check_solution(solution, scen, catalog, tariff, tol=1e-6)
+        report = check_solution(solution, scen, catalog, tariff)
         assert report.ok, f"seed {seed}:\n{report.to_text()}"
     elapsed = time.perf_counter() - started
     assert elapsed <= 60.0, f"oracle-equivalence suite took {elapsed:.1f} s"

@@ -82,13 +82,40 @@ def test_node_log_bounds_monotone():
     inst, _ = _tiny_instance(2)  # known to branch
     res = solve_milp(inst, SolveOptions(relative_gap=0.0, backend="reference"))
     assert res.nodes > 0 and res.node_log
-    bounds = [float(line.split("bound=")[1].split()[0]) for line in res.node_log]
+    bounds = [record.bound for record in res.node_log]
     assert all(b2 >= b1 - 1e-9 * max(1, abs(b1))
                for b1, b2 in zip(bounds, bounds[1:]))
-    incumbents = [line.split("incumbent=")[1].split()[0] for line in res.node_log]
-    values = [float(v) for v in incumbents if v != "none"]
+    values = [record.incumbent for record in res.node_log
+              if record.incumbent is not None]
     assert all(v2 <= v1 + 1e-9 * max(1, abs(v1))
                for v1, v2 in zip(values, values[1:]))
+
+
+def test_root_lp_is_solved_once(monkeypatch):
+    # The root is the tree's first node: one cold LP with no fixings, then
+    # the rounding dive's LPs, which fix every binary, then one LP per node
+    # below the root.
+    inst, _ = _tiny_instance(2)  # known to branch
+    real = solver.simplex_solve
+    calls = []
+
+    def simplex_solve(form, objective, lower, upper, **kwargs):
+        calls.append((lower.copy(), upper.copy()))
+        return real(form, objective, lower, upper, **kwargs)
+
+    monkeypatch.setattr(solver, "simplex_solve", simplex_solve)
+    res = solve_milp(inst, SolveOptions(relative_gap=0.0, backend="reference"))
+    assert res.ok and res.nodes > 0
+    binaries = inst.binary_indices
+    fixes_all = [bool(np.all(lower[binaries] == upper[binaries]))
+                 for lower, upper in calls[1:]]
+    dive = fixes_all.index(False) if False in fixes_all else len(fixes_all)
+    assert dive > 0
+    assert len(calls) == 1 + dive + res.nodes
+    assert len(res.node_log) == res.nodes
+    unfixed = [np.array_equal(lower, inst.col_lower) and np.array_equal(upper, inst.col_upper)
+               for lower, upper in calls]
+    assert unfixed == [True] + [False] * (len(calls) - 1)
 
 
 def test_objective_scaling_property():

@@ -61,6 +61,16 @@ def test_config_parsing_and_validation(tmp_path, small_profile_path):
                                "unknown_key": 1})
 
 
+@pytest.mark.parametrize("block, named", [
+    ({"weights": {"annual_day_weigth": 300}}, "annual_day_weigth"),
+    ({"tariff": {}}, "energy_price"),
+])
+def test_bad_config_block_is_a_config_error_naming_the_key(small_profile_path,
+                                                           block, named):
+    with pytest.raises(ConfigError, match=named):
+        StudyConfig.from_dict({"profile": str(small_profile_path), **block})
+
+
 def test_run_study_outputs_and_audited_totals(tmp_path, small_profile_path):
     config = StudyConfig.from_file(_config_file(tmp_path, small_profile_path))
     outcome = run_study(config)
@@ -203,3 +213,17 @@ def test_cli_propagates_solve_failure(tmp_path, small_profile_path):
         tmp_path, small_profile_path,
         tariff={"energy_price": [0.1] * 24, "demand_price": 18.0, "peak_cap": 1.0})
     assert cli_main(["run", "--config", str(config_path)]) == 1
+
+
+@pytest.mark.parametrize("overrides, code", [
+    ({}, 0),
+    ({"weights": {"annual_day_weight": -1}}, 3),
+    ({"tariff": {"energy_price": [0.1] * 12}}, 1),
+    ({"soc_boundary": "monday"}, 1),
+    ({"soc_boundary": 1.5}, 1),
+])
+def test_cli_validate_exits_as_run_does(tmp_path, small_profile_path, overrides, code):
+    config_path = _config_file(tmp_path, small_profile_path, cases=[0], **overrides)
+    assert cli_main(["validate", "--config", str(config_path)]) == code
+    assert not (tmp_path / "out").exists()
+    assert cli_main(["run", "--config", str(config_path)]) == code
