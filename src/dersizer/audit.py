@@ -1,23 +1,28 @@
 """Trust-nothing verification of sizing solutions.
 
 Every operating constraint and cost term is re-evaluated directly from
-the extracted dispatch blocks with plain scalar arithmetic. Nothing here
-touches the MILP builder's row generation, so a bug shared with the
-matrix path cannot certify itself; the big-M values are recomputed from
-their documented formulas locally.
+the extracted dispatch blocks. Each check is one numpy statement over its
+variable family's whole block: (S, T) per scenario interval, (S, T+1) for
+the state of charge, (S,) per scenario and a scalar for the sizing
+decision. Nothing here touches the MILP builder's matrix or row
+generation, so a bug shared with the matrix path cannot certify itself;
+the big-M values are recomputed from their documented formulas locally.
 
-Residuals are normalized by max(1, |rhs|) per check, which puts kW-scale
-and $-scale rows on the same footing. The tolerance, ``AUDIT_TOL`` (1e-6),
-is deliberately looser than the LP core's 1e-7 so correct solutions never
-false-positive.
+Residuals are normalized by max(1, |rhs|) element by element, which puts
+kW-scale and $-scale rows on the same footing. The tolerance,
+``AUDIT_TOL`` (1e-6), is deliberately looser than the LP core's 1e-7 so
+correct solutions never false-positive. Violations are listed in check
+order, then by scenario, then by interval; a block's shape gives its
+location (``"sizing"``, a day id, or a day id and an interval).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .data_model import DeviceCatalog, ScenarioSet, TariffPlan
-from .errors import AuditError
 from .finance import (CostBreakdown, annualize_expected, degradation_cost,
                       demand_charge, energy_charge, investment_cost, shedding_cost)
 from .solution import SizingSolution
@@ -65,31 +70,38 @@ class AuditReport:
 
 
 class _Collector:
+    """Each check's normalized residual block, in check order."""
+
     def __init__(self):
-        self.max_residual = 0.0
-        self.violations: list[AuditViolation] = []
+        self.checks: list[tuple[str, np.ndarray]] = []
 
-    def equal(self, family, scenario, interval, lhs, rhs):
-        measure = abs(lhs - rhs) / max(1.0, abs(rhs))
-        self._record(family, scenario, interval, measure)
+    def equal(self, family, lhs, rhs):
+        self.checks.append((family, np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
 
-    def at_most(self, family, scenario, interval, lhs, rhs):
-        measure = max(0.0, lhs - rhs) / max(1.0, abs(rhs))
-        self._record(family, scenario, interval, measure)
+    def at_most(self, family, lhs, rhs):
+        self.checks.append((family, np.maximum(0.0, lhs - rhs)
+                            / np.maximum(1.0, np.abs(rhs))))
 
-    def _record(self, family, scenario, interval, measure):
-        self.max_residual = max(self.max_residual, measure)
-        if measure > AUDIT_TOL:
-            self.violations.append(AuditViolation(family, scenario, interval,
-                                                  float(measure)))
+    def finish(self, day_ids) -> tuple[float, list[AuditViolation]]:
+        """The largest residual, and the violations if it exceeds ``AUDIT_TOL``."""
+        every = np.concatenate([np.ravel(r) for _, r in self.checks])
+        # fmax skips NaN, as a scalar max() does; max(0.0, ...) turns -0.0 into 0.0.
+        largest = max(0.0, float(np.fmax.reduce(every, initial=0.0)))
+        found = []
+        if largest > AUDIT_TOL:
+            for family, residual in self.checks:
+                for idx in np.argwhere(residual > AUDIT_TOL):
+                    found.append(AuditViolation(
+                        family, day_ids[idx[0]] if len(idx) else "sizing",
+                        int(idx[1]) if len(idx) > 1 else None,
+                        float(residual[tuple(idx)])))
+        return largest, found
 
 
 def recompute_cost_breakdown(solution: SizingSolution, scenario_set: ScenarioSet,
                              catalog: DeviceCatalog,
                              tariff: TariffPlan) -> CostBreakdown:
     """Rebuild every cost term of a solution from its dispatch series."""
-    if solution.grid is None or solution.islanded is None:
-        raise AuditError("solution has no dispatch blocks to price")
     grid, isl = solution.grid, solution.islanded
     n_s = len(scenario_set.days)
     energy = [energy_charge(grid.p_grid[s], tariff) for s in range(n_s)]
@@ -119,15 +131,17 @@ def check_solution(solution: SizingSolution, scenario_set: ScenarioSet,
     (family, scenario, interval, normalized residual) plus the recomputed
     cost breakdown and its total's delta against the solver's objective.
     """
-    if solution.grid is None or solution.islanded is None:
-        raise AuditError("solution has no dispatch blocks to audit")
     grid, isl = solution.grid, solution.islanded
     caps = solution.capacities
     x_pv, x_es = caps["pv"], caps["es"]
     x_ic, x_inv, x_con = caps["ic"], caps["inv"], caps["con"]
+    days = scenario_set.days
+    cl_ac, cl_dc, nl_ac, nl_dc, avail = (
+        np.array([getattr(day, name) for day in days])
+        for name in ("cl_ac", "cl_dc", "nl_ac", "nl_dc", "pv_availability"))
 
     # Big-M values recomputed here from their documented formulas.
-    max_load = max(float(day.total_load().max()) for day in scenario_set.days)
+    max_load = max(float(day.total_load().max()) for day in days)
     m_flow = max_load + catalog.pv_max * catalog.eta_con \
         + catalog.es_max * catalog.eta_dch
     if m_flow <= 0:
@@ -137,123 +151,100 @@ def check_solution(solution: SizingSolution, scenario_set: ScenarioSet,
     c = _Collector()
     rho = catalog.rho_ep
 
-    c.at_most("pv_cap", "sizing", None, x_pv,
-              catalog.pv_max if solution.case.allow_pv else 0.0)
-    c.at_most("es_cap", "sizing", None, x_es,
-              catalog.es_max if solution.case.allow_es else 0.0)
+    c.at_most("pv_cap", x_pv, catalog.pv_max if solution.case.allow_pv else 0.0)
+    c.at_most("es_cap", x_es, catalog.es_max if solution.case.allow_es else 0.0)
     for name in ("pv", "es", "ic", "inv", "con"):
-        c.at_most("capacity_nonneg", "sizing", None, -caps[name], 0.0)
+        c.at_most("capacity_nonneg", -caps[name], 0.0)
 
-    for s, day in enumerate(scenario_set.days):
-        sid = day.id
-        t_count = day.intervals
-        c.at_most("peak_cap", sid, None, float(grid.p_peak[s]), tariff.peak_cap)
+    c.at_most("peak_cap", grid.p_peak, tariff.peak_cap)
+    if isinstance(solution.soc_boundary, str):
+        c.equal("soc_boundary", grid.soc[:, 0], grid.soc[:, -1])
+    else:
+        c.equal("soc_boundary", grid.soc[:, 0],
+                float(solution.soc_boundary) * rho * x_es)
+    c.at_most("soc_bounds", catalog.alpha_min * rho * x_es, grid.soc)
+    c.at_most("soc_bounds", grid.soc, catalog.alpha_max * rho * x_es)
 
-        if isinstance(solution.soc_boundary, str):
-            c.equal("soc_boundary", sid, None, grid.soc[s, 0], grid.soc[s, t_count])
-        else:
-            c.equal("soc_boundary", sid, None, grid.soc[s, 0],
-                    float(solution.soc_boundary) * rho * x_es)
-        for t in range(t_count + 1):
-            c.at_most("soc_bounds", sid, t, catalog.alpha_min * rho * x_es,
-                      grid.soc[s, t])
-            c.at_most("soc_bounds", sid, t, grid.soc[s, t],
-                      catalog.alpha_max * rho * x_es)
+    p_grid, v = grid.p_grid, grid.v_pv
+    dch_ac, dch_dc, ch_ac, ch_dc = grid.dch_ac, grid.dch_dc, grid.ch_ac, grid.ch_dc
+    f_ac, f_in, f_out = grid.f_ac, grid.f_dc_in, grid.f_dc_out
+    z, y, u, k = grid.z_flow, grid.y_dch, grid.u_dch, grid.k_dch
+    soc_prev, soc_now = grid.soc[:, :-1], grid.soc[:, 1:]
 
-        for t in range(t_count):
-            cl_ac, cl_dc = day.cl_ac[t], day.cl_dc[t]
-            nl_ac, nl_dc = day.nl_ac[t], day.nl_dc[t]
-            avail = day.pv_availability[t]
-            p_grid = grid.p_grid[s, t]
-            v = grid.v_pv[s, t]
-            dch_ac, dch_dc = grid.dch_ac[s, t], grid.dch_dc[s, t]
-            ch_ac, ch_dc = grid.ch_ac[s, t], grid.ch_dc[s, t]
-            f_ac, f_in, f_out = grid.f_ac[s, t], grid.f_dc_in[s, t], grid.f_dc_out[s, t]
-            z, y = grid.z_flow[s, t], grid.y_dch[s, t]
-            u, k = grid.u_dch[s, t], grid.k_dch[s, t]
-            soc_prev, soc_now = grid.soc[s, t], grid.soc[s, t + 1]
+    for name, value in (("grid_nonneg", p_grid), ("pv_nonneg", v),
+                        ("battery_nonneg", dch_ac), ("battery_nonneg", dch_dc),
+                        ("battery_nonneg", ch_ac), ("battery_nonneg", ch_dc),
+                        ("flow_nonneg", f_in), ("flow_nonneg", f_out),
+                        ("aux_nonneg", u), ("aux_nonneg", k)):
+        c.at_most(name, -value, 0.0)
 
-            for name, value in (("grid_nonneg", p_grid), ("pv_nonneg", v),
-                                ("battery_nonneg", dch_ac), ("battery_nonneg", dch_dc),
-                                ("battery_nonneg", ch_ac), ("battery_nonneg", ch_dc),
-                                ("flow_nonneg", f_in), ("flow_nonneg", f_out),
-                                ("aux_nonneg", u), ("aux_nonneg", k)):
-                c.at_most(name, sid, t, -value, 0.0)
+    c.equal("ac_balance", dch_ac * catalog.eta_inv - ch_ac / catalog.eta_inv + p_grid,
+            f_ac + cl_ac + nl_ac)
+    c.equal("dc_balance", (dch_dc + v) * catalog.eta_con - ch_dc / catalog.eta_con,
+            f_out - f_in + cl_dc + nl_dc)
+    c.equal("ic_link", f_ac, f_in / catalog.eta_ic - f_out * catalog.eta_ic)
+    c.at_most("flow_in_cap", f_in, m_flow * z)
+    c.at_most("flow_out_cap", f_out, m_flow * (1.0 - z))
+    c.equal("soc_step", soc_now,
+            soc_prev + (ch_ac + ch_dc) * catalog.eta_ch
+            - (dch_ac + dch_dc) / catalog.eta_dch)
+    c.at_most("pv_limit", v, avail * x_pv)
+    c.at_most("peak_link", p_grid, grid.p_peak[:, None])
 
-            c.equal("ac_balance", sid, t,
-                    dch_ac * catalog.eta_inv - ch_ac / catalog.eta_inv + p_grid,
-                    f_ac + cl_ac + nl_ac)
-            c.equal("dc_balance", sid, t,
-                    (dch_dc + v) * catalog.eta_con - ch_dc / catalog.eta_con,
-                    f_out - f_in + cl_dc + nl_dc)
-            c.equal("ic_link", sid, t, f_ac,
-                    f_in / catalog.eta_ic - f_out * catalog.eta_ic)
-            c.at_most("flow_in_cap", sid, t, f_in, m_flow * z)
-            c.at_most("flow_out_cap", sid, t, f_out, m_flow * (1.0 - z))
-            c.equal("soc_step", sid, t, soc_now,
-                    soc_prev + (ch_ac + ch_dc) * catalog.eta_ch
-                    - (dch_ac + dch_dc) / catalog.eta_dch)
-            c.at_most("pv_limit", sid, t, v, avail * x_pv)
-            c.at_most("peak_link", sid, t, p_grid, float(grid.p_peak[s]))
+    c.equal("product_split", u, x_es - k)
+    c.at_most("product_on", u, m_es * y)
+    c.at_most("product_off", k, m_es * (1.0 - y))
+    c.at_most("dch_cap", dch_ac + dch_dc, u)
+    c.at_most("ch_cap", ch_ac + ch_dc, x_es - u)
+    c.equal("product_exact", u, x_es * y)
+    for name, value in (("flow_dir_binary", z), ("dch_state_binary", y)):
+        c.at_most(name, np.abs(value - np.round(value)), 0.0)
+    c.at_most("charge_complementarity", np.minimum(dch_ac + dch_dc, ch_ac + ch_dc), 0.0)
+    c.at_most("flow_complementarity", np.minimum(f_in, f_out), 0.0)
 
-            c.equal("product_split", sid, t, u, x_es - k)
-            c.at_most("product_on", sid, t, u, m_es * y)
-            c.at_most("product_off", sid, t, k, m_es * (1.0 - y))
-            c.at_most("dch_cap", sid, t, dch_ac + dch_dc, u)
-            c.at_most("ch_cap", sid, t, ch_ac + ch_dc, x_es - u)
-            c.equal("product_exact", sid, t, u, x_es * y)
-            for name, value in (("flow_dir_binary", z), ("dch_state_binary", y)):
-                c.at_most(name, sid, t, abs(value - round(value)), 0.0)
-            c.at_most("charge_complementarity", sid, t,
-                      min(dch_ac + dch_dc, ch_ac + ch_dc), 0.0)
-            c.at_most("flow_complementarity", sid, t, min(f_in, f_out), 0.0)
+    c.at_most("inv_sizing", dch_ac + ch_ac / catalog.eta_inv, x_inv)
+    c.at_most("con_sizing", x_pv + dch_dc + ch_dc / catalog.eta_con, x_con)
+    c.at_most("ic_sizing", f_in / catalog.eta_ic, x_ic)
+    c.at_most("ic_sizing", f_out, x_ic)
 
-            c.at_most("inv_sizing", sid, t, dch_ac + ch_ac / catalog.eta_inv, x_inv)
-            c.at_most("con_sizing", sid, t,
-                      x_pv + dch_dc + ch_dc / catalog.eta_con, x_con)
-            c.at_most("ic_sizing", sid, t, f_in / catalog.eta_ic, x_ic)
-            c.at_most("ic_sizing", sid, t, f_out, x_ic)
+    # Islanded one-interval contingency fed by soc carried into t.
+    iv, idch_ac, idch_dc = isl.i_v_pv, isl.i_dch_ac, isl.i_dch_dc
+    if_ac, if_in, if_out = isl.i_f_ac, isl.i_f_dc_in, isl.i_f_dc_out
+    zi = isl.i_z_flow
+    lcl_ac, lcl_dc = isl.shed_cl_ac, isl.shed_cl_dc
+    lnl_ac, lnl_dc = isl.shed_nl_ac, isl.shed_nl_dc
 
-            # Islanded one-interval contingency fed by soc carried into t.
-            iv = isl.i_v_pv[s, t]
-            idch_ac, idch_dc = isl.i_dch_ac[s, t], isl.i_dch_dc[s, t]
-            if_ac, if_in, if_out = isl.i_f_ac[s, t], isl.i_f_dc_in[s, t], \
-                isl.i_f_dc_out[s, t]
-            zi = isl.i_z_flow[s, t]
-            lcl_ac, lcl_dc = isl.shed_cl_ac[s, t], isl.shed_cl_dc[s, t]
-            lnl_ac, lnl_dc = isl.shed_nl_ac[s, t], isl.shed_nl_dc[s, t]
+    for name, value in (("isl_pv_nonneg", iv), ("isl_battery_nonneg", idch_ac),
+                        ("isl_battery_nonneg", idch_dc),
+                        ("isl_flow_nonneg", if_in), ("isl_flow_nonneg", if_out)):
+        c.at_most(name, -value, 0.0)
+    for name, shed_value, limit in (
+            ("shed_cl_bounds", lcl_ac, cl_ac), ("shed_cl_bounds", lcl_dc, cl_dc),
+            ("shed_nl_bounds", lnl_ac, nl_ac), ("shed_nl_bounds", lnl_dc, nl_dc)):
+        c.at_most(name, -shed_value, 0.0)
+        c.at_most(name, shed_value, limit)
 
-            for name, value in (("isl_pv_nonneg", iv), ("isl_battery_nonneg", idch_ac),
-                                ("isl_battery_nonneg", idch_dc),
-                                ("isl_flow_nonneg", if_in), ("isl_flow_nonneg", if_out)):
-                c.at_most(name, sid, t, -value, 0.0)
-            for name, shed_value, limit in (
-                    ("shed_cl_bounds", lcl_ac, cl_ac), ("shed_cl_bounds", lcl_dc, cl_dc),
-                    ("shed_nl_bounds", lnl_ac, nl_ac), ("shed_nl_bounds", lnl_dc, nl_dc)):
-                c.at_most(name, sid, t, -shed_value, 0.0)
-                c.at_most(name, sid, t, shed_value, limit)
+    c.equal("isl_ac_balance", idch_ac * catalog.eta_inv,
+            if_ac + cl_ac - lcl_ac + nl_ac - lnl_ac)
+    c.equal("isl_dc_balance", (idch_dc + iv) * catalog.eta_con,
+            if_out - if_in + cl_dc - lcl_dc + nl_dc - lnl_dc)
+    c.equal("isl_ic_link", if_ac, if_in / catalog.eta_ic - if_out * catalog.eta_ic)
+    c.at_most("isl_flow_in_cap", if_in, m_flow * zi)
+    c.at_most("isl_flow_out_cap", if_out, m_flow * (1.0 - zi))
+    c.at_most("isl_pv_limit", iv, avail * x_pv)
+    c.at_most("isl_dch_power", idch_ac + idch_dc, x_es)
+    c.at_most("isl_dch_energy", idch_ac + idch_dc, soc_prev)
+    c.at_most("isl_flow_dir_binary", np.abs(zi - np.round(zi)), 0.0)
+    c.at_most("isl_flow_complementarity", np.minimum(if_in, if_out), 0.0)
 
-            c.equal("isl_ac_balance", sid, t, idch_ac * catalog.eta_inv,
-                    if_ac + cl_ac - lcl_ac + nl_ac - lnl_ac)
-            c.equal("isl_dc_balance", sid, t, (idch_dc + iv) * catalog.eta_con,
-                    if_out - if_in + cl_dc - lcl_dc + nl_dc - lnl_dc)
-            c.equal("isl_ic_link", sid, t, if_ac,
-                    if_in / catalog.eta_ic - if_out * catalog.eta_ic)
-            c.at_most("isl_flow_in_cap", sid, t, if_in, m_flow * zi)
-            c.at_most("isl_flow_out_cap", sid, t, if_out, m_flow * (1.0 - zi))
-            c.at_most("isl_pv_limit", sid, t, iv, avail * x_pv)
-            c.at_most("isl_dch_power", sid, t, idch_ac + idch_dc, x_es)
-            c.at_most("isl_dch_energy", sid, t, idch_ac + idch_dc, soc_prev)
-            c.at_most("isl_flow_dir_binary", sid, t, abs(zi - round(zi)), 0.0)
-            c.at_most("isl_flow_complementarity", sid, t, min(if_in, if_out), 0.0)
+    c.at_most("inv_sizing_isl", idch_ac, x_inv)
+    c.at_most("con_sizing_isl", x_pv + idch_dc, x_con)
+    c.at_most("ic_sizing_isl", if_in / catalog.eta_ic, x_ic)
+    c.at_most("ic_sizing_isl", if_out, x_ic)
 
-            c.at_most("inv_sizing_isl", sid, t, idch_ac, x_inv)
-            c.at_most("con_sizing_isl", sid, t, x_pv + idch_dc, x_con)
-            c.at_most("ic_sizing_isl", sid, t, if_in / catalog.eta_ic, x_ic)
-            c.at_most("ic_sizing_isl", sid, t, if_out, x_ic)
-
+    max_residual, violations = c.finish([day.id for day in days])
     breakdown = recompute_cost_breakdown(solution, scenario_set, catalog, tariff)
-    return AuditReport(violations=tuple(c.violations),
-                       max_residual=c.max_residual,
+    return AuditReport(violations=tuple(violations),
+                       max_residual=max_residual,
                        breakdown=breakdown,
                        objective_delta=float(abs(breakdown.total - solution.objective)))

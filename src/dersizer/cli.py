@@ -15,8 +15,10 @@ from pathlib import Path
 from .data_model import LoadSplitSpec, parse_profile_csv
 from .errors import ConfigError, DersizerError, IngestionError, ValidationError
 from .milp_builder import build_model
-from .reduction import ReductionConfig, reduce_scenarios, write_reduction_csv
+from .reduction import (REDUCTION_FEATURES, ReductionConfig, reduce_scenarios,
+                        write_reduction_csv)
 from .solution import CaseSpec
+from .solver import BACKENDS
 from .study import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVE, StudyConfig, prepare_study,
                     run_study)
 
@@ -32,8 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="JSON study config")
     run.add_argument("--cases", help="comma-separated case numbers, e.g. 0,3")
     run.add_argument("--gap", type=float, help="relative MIP gap override")
-    run.add_argument("--backend", choices=("reference", "external", "oracle"),
-                     help="solver backend override")
+    run.add_argument("--backend", choices=BACKENDS, help="solver backend override")
     run.add_argument("--audit", action="store_true",
                      help="print each case's audit transcript to stdout")
     run.add_argument("--out", help="output directory override")
@@ -41,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     reduce_p = sub.add_parser("reduce", help="pick representative days from a profile")
     reduce_p.add_argument("--profile", required=True, help="hourly profile CSV")
     reduce_p.add_argument("--k", type=int, default=6, help="number of days")
-    reduce_p.add_argument("--feature", choices=("load", "load+pv"), default="load")
+    reduce_p.add_argument("--feature", choices=REDUCTION_FEATURES, default="load")
     reduce_p.add_argument("--out", help="write day_index,probability CSV here")
 
     validate = sub.add_parser("validate", help="check a study config end to end")

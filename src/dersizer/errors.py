@@ -31,7 +31,3 @@ class NumericalError(SolverError):
 
 class OracleGuardError(SolverError):
     """The enumeration oracle was asked to do more work than its hard guard allows."""
-
-
-class AuditError(DersizerError):
-    """A solution is missing the data the audit needs."""

@@ -89,8 +89,6 @@ def investment_cost(capacities: dict[str, float], catalog: DeviceCatalog) -> flo
         raise ValidationError(f"unknown capacities: {sorted(unknown)}")
     total = 0.0
     for key, kw in capacities.items():
-        if kw < 0:
-            raise ValidationError(f"capacity {key}={kw} is negative")
         total += prices[key] * kw
     return total
 
@@ -107,8 +105,6 @@ def energy_charge(grid_purchases, tariff: TariffPlan) -> float:
 
 def demand_charge(peak_kw: float, tariff: TariffPlan) -> float:
     """One representative day's demand charge on the peak grid draw."""
-    if peak_kw < 0:
-        raise ValidationError("peak must be nonnegative")
     return tariff.demand_price * peak_kw
 
 

@@ -14,10 +14,8 @@ weight (monthly billing by default); every audit header repeats this.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from .audit import AuditReport, check_solution
 from .data_model import (AnnualProfile, DeviceCatalog, LoadSplitSpec, ScenarioSet,
@@ -36,11 +34,40 @@ RESULT_METRICS = ("pv_kw", "es_kw", "inverter_kw", "converter_kw", "ic_kw",
 
 SAVINGS_COMPONENTS = ("energy_charges", "demand_charges", "total_payment", "total")
 
+DISPATCH_HEADER = ["interval", "p_grid_kw", "pv_kw", "ch_ac_kw", "ch_dc_kw",
+                   "dch_ac_kw", "dch_dc_kw", "ic_flow_ac_kw", "soc_kwh"]
+
 EXIT_OK, EXIT_SOLVE, EXIT_AUDIT, EXIT_CONFIG = 0, 1, 2, 3
 
 
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
+
+
+# What a config file gets for a tariff or solve key it leaves out; the
+# weights default to the StudyConfig fields they set.
+TARIFF_DEFAULTS = {"demand_price": 18.0, "peak_cap": 1000.0}
+DEFAULT_SOLVE = SolveOptions(backend="external")
+WEIGHT_KEYS = ("annual_day_weight", "annual_demand_weight")
+
+
+def _config_block(raw: dict, name: str, keys) -> dict:
+    """The JSON object ``raw[name]``, empty when absent.
+
+    ``keys`` is the tuple of keys it may hold, or a dataclass whose fields
+    they are. A block that is not an object, or has any other key, is a
+    ``ConfigError`` naming it.
+    """
+    block = raw.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"config block {name!r} must be a JSON object, "
+                          f"got {type(block).__name__}")
+    if is_dataclass(keys):
+        keys = [f.name for f in fields(keys)]
+    unknown = set(block) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return block
 
 
 @dataclass(frozen=True)
@@ -56,7 +83,7 @@ class StudyConfig:
     tariff: TariffPlan | None = None   # None means the default TOU plan
     annual_day_weight: float = 365.0
     annual_demand_weight: float = 12.0
-    solve: SolveOptions = field(default_factory=lambda: SolveOptions(backend="external"))
+    solve: SolveOptions = DEFAULT_SOLVE
     soc_boundary: str | float = "cyclic"
 
     def __post_init__(self):
@@ -86,39 +113,21 @@ class StudyConfig:
             out_raw = raw.get("output_dir", "study_out")
             output_dir = base / out_raw if not Path(out_raw).is_absolute() \
                 else Path(out_raw)
-            tariff = None
-            if "tariff" in raw:
-                t = dict(raw["tariff"])
-                tariff = TariffPlan(
-                    energy_price=np.asarray(t.pop("energy_price"), dtype=float),
-                    demand_price=float(t.pop("demand_price", 18.0)),
-                    peak_cap=float(t.pop("peak_cap", 1000.0)))
-                if t:
-                    raise ConfigError(f"unknown tariff keys: {sorted(t)}")
-            weights = dict(raw.get("weights", {}))
-            annual_day_weight = float(weights.pop("annual_day_weight", 365.0))
-            annual_demand_weight = float(weights.pop("annual_demand_weight", 12.0))
-            if weights:
-                raise ConfigError(f"unknown weights keys: {sorted(weights)}")
-            solve_raw = dict(raw.get("solve", {}))
-            solve = SolveOptions(
-                relative_gap=float(solve_raw.pop("relative_gap", 1e-4)),
-                time_limit=solve_raw.pop("time_limit", None),
-                backend=solve_raw.pop("backend", "external"))
-            if solve_raw:
-                raise ConfigError(f"unknown solve keys: {sorted(solve_raw)}")
+            weights = _config_block(raw, "weights", WEIGHT_KEYS)
             return cls(
                 profile=profile_path,
                 output_dir=output_dir,
                 cases=tuple(raw.get("cases", (0, 1, 2, 3))),
-                split=LoadSplitSpec(**raw.get("split", {})),
-                reduction=ReductionConfig(**raw.get("reduction", {})),
-                catalog=DeviceCatalog(**raw.get("catalog", {})),
-                tariff=tariff,
-                annual_day_weight=annual_day_weight,
-                annual_demand_weight=annual_demand_weight,
-                solve=solve,
+                split=LoadSplitSpec(**_config_block(raw, "split", LoadSplitSpec)),
+                reduction=ReductionConfig(**_config_block(raw, "reduction",
+                                                          ReductionConfig)),
+                catalog=DeviceCatalog(**_config_block(raw, "catalog", DeviceCatalog)),
+                tariff=TariffPlan(**{**TARIFF_DEFAULTS,
+                                     **_config_block(raw, "tariff", TariffPlan)})
+                if "tariff" in raw else None,
+                solve=replace(DEFAULT_SOLVE, **_config_block(raw, "solve", SolveOptions)),
                 soc_boundary=raw.get("soc_boundary", "cyclic"),
+                **{key: float(value) for key, value in weights.items()},
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad study config: {exc}") from exc
@@ -185,17 +194,15 @@ def compare_cases(breakdowns: dict[int, CostBreakdown]) -> dict[int, dict[str, f
 
 def _annual_shed_kwh(solution: SizingSolution, scenario_set: ScenarioSet) -> float:
     isl = solution.islanded
-    per_day = np.array([
-        float(isl.shed_cl_ac[s].sum() + isl.shed_cl_dc[s].sum()
-              + isl.shed_nl_ac[s].sum() + isl.shed_nl_dc[s].sum())
-        for s in range(len(scenario_set.days))])
+    per_day = (isl.shed_cl_ac.sum(axis=1) + isl.shed_cl_dc.sum(axis=1)
+               + isl.shed_nl_ac.sum(axis=1) + isl.shed_nl_dc.sum(axis=1))
     return scenario_set.annual_day_weight * float(scenario_set.probabilities @ per_day)
 
 
-def _results_column(outcome: CaseOutcome, scenario_set: ScenarioSet) -> list[str]:
-    """One case's formatted value of every metric, in ``RESULT_METRICS`` order."""
+def _results_column(outcome: CaseOutcome, scenario_set: ScenarioSet) -> list:
+    """One case's value of every metric, in ``RESULT_METRICS`` order; None if unsolved."""
     if not outcome.solved:
-        return ["n/a"] * len(RESULT_METRICS)
+        return [None] * len(RESULT_METRICS)
     caps, bd = outcome.solution.capacities, outcome.audit.breakdown
     values = {
         "pv_kw": caps["pv"],
@@ -208,58 +215,20 @@ def _results_column(outcome: CaseOutcome, scenario_set: ScenarioSet) -> list[str
         "total_payment_usd": bd.total_payment,
         "shed_energy_kwh": _annual_shed_kwh(outcome.solution, scenario_set),
     }
-    return [_fmt(values[metric]) for metric in RESULT_METRICS]
+    return [values[metric] for metric in RESULT_METRICS]
 
 
-def _write_results_csv(path: Path, cases: dict[int, CaseOutcome],
-                       scenario_set: ScenarioSet) -> None:
-    ordered = sorted(cases)
-    header = ["metric"] + [f"case_{c}" for c in ordered]
-    columns = [_results_column(cases[c], scenario_set) for c in ordered]
-    _write_csv(path, header, [list(row) for row in zip(RESULT_METRICS, *columns)])
+def _write_table(path: Path, header: list[str], columns) -> None:
+    """Write a CSV table given column by column.
 
+    Strings are written as given, ``None`` as ``n/a`` and numbers with ``_fmt``.
+    """
+    def cell(value) -> str:
+        if isinstance(value, str):
+            return value
+        return "n/a" if value is None else _fmt(value)
 
-def _write_savings_csv(path: Path, table: dict[int, dict[str, float | None]]) -> None:
-    ordered = sorted(table)
-    header = ["component"] + [f"case_{c}" for c in ordered]
-    rows = []
-    for component in SAVINGS_COMPONENTS:
-        row = [component]
-        for case in ordered:
-            value = table[case][component]
-            row.append("n/a" if value is None else _fmt(value))
-        rows.append(row)
-    _write_csv(path, header, rows)
-
-
-def _write_dispatch_csv(path: Path, solution: SizingSolution, s: int) -> None:
-    grid = solution.grid
-    header = ["interval", "p_grid_kw", "pv_kw", "ch_ac_kw", "ch_dc_kw",
-              "dch_ac_kw", "dch_dc_kw", "ic_flow_ac_kw", "soc_kwh"]
-    rows = []
-    for t in range(grid.p_grid.shape[1]):
-        rows.append([str(t + 1), _fmt(grid.p_grid[s, t]), _fmt(grid.v_pv[s, t]),
-                     _fmt(grid.ch_ac[s, t]), _fmt(grid.ch_dc[s, t]),
-                     _fmt(grid.dch_ac[s, t]), _fmt(grid.dch_dc[s, t]),
-                     _fmt(grid.f_ac[s, t]), _fmt(grid.soc[s, t + 1])])
-    _write_csv(path, header, rows)
-
-
-def _write_curtailment_csv(path: Path, solution: SizingSolution,
-                           scenario_set: ScenarioSet) -> None:
-    isl = solution.islanded
-    header = ["day", "interval", "shed_critical_kw", "shed_noncritical_kw"]
-    rows = []
-    for s, day in enumerate(scenario_set.days):
-        for t in range(day.intervals):
-            rows.append([day.id, str(t + 1),
-                         _fmt(isl.shed_cl_ac[s, t] + isl.shed_cl_dc[s, t]),
-                         _fmt(isl.shed_nl_ac[s, t] + isl.shed_nl_dc[s, t])])
-    _write_csv(path, header, rows)
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)] + [",".join(row) for row in rows]
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in zip(*columns)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -326,16 +295,32 @@ def run_study(config: StudyConfig) -> StudyOutcome:
         header = (f"case {case_number} status={solution.status} "
                   f"objective={_fmt(solution.objective)} gap={solution.gap:.3e}\n")
         audit_path.write_text(header + audit.to_text())
-        _write_curtailment_csv(out / f"curtailment_case{case_number}.csv",
-                               solution, scenario_set)
-        for s, day in enumerate(scenario_set.days):
-            _write_dispatch_csv(out / f"dispatch_case{case_number}_{day.id}.csv",
-                                solution, s)
+        grid, isl = solution.grid, solution.islanded
+        days = scenario_set.days
+        intervals = [str(t + 1) for t in range(scenario_set.intervals)]
+        _write_table(out / f"curtailment_case{case_number}.csv",
+                     ["day", "interval", "shed_critical_kw", "shed_noncritical_kw"],
+                     [[day.id for day in days for _ in intervals], intervals * len(days),
+                      (isl.shed_cl_ac + isl.shed_cl_dc).ravel(),
+                      (isl.shed_nl_ac + isl.shed_nl_dc).ravel()])
+        for s, day in enumerate(days):
+            _write_table(out / f"dispatch_case{case_number}_{day.id}.csv",
+                         DISPATCH_HEADER,
+                         [intervals, grid.p_grid[s], grid.v_pv[s], grid.ch_ac[s],
+                          grid.ch_dc[s], grid.dch_ac[s], grid.dch_dc[s], grid.f_ac[s],
+                          grid.soc[s, 1:]])
 
-    _write_results_csv(out / "results.csv", outcomes, scenario_set)
+    ordered = sorted(outcomes)
+    _write_table(out / "results.csv", ["metric"] + [f"case_{c}" for c in ordered],
+                 [RESULT_METRICS] + [_results_column(outcomes[c], scenario_set)
+                                     for c in ordered])
     solved_breakdowns = {c: o.audit.breakdown for c, o in outcomes.items() if o.solved}
     if 0 in solved_breakdowns and len(solved_breakdowns) > 1:
-        _write_savings_csv(out / "savings.csv", compare_cases(solved_breakdowns))
+        savings = compare_cases(solved_breakdowns)
+        compared = sorted(savings)
+        _write_table(out / "savings.csv", ["component"] + [f"case_{c}" for c in compared],
+                     [SAVINGS_COMPONENTS] + [[savings[c][k] for k in SAVINGS_COMPONENTS]
+                                             for c in compared])
 
     exit_code = EXIT_SOLVE if solve_failed else (EXIT_AUDIT if audit_flagged else EXIT_OK)
     return StudyOutcome(exit_code=exit_code, scenario_set=scenario_set,

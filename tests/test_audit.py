@@ -1,21 +1,24 @@
 """Audit: independent re-evaluation of constraints and costs, plus fault injection."""
 
-from dataclasses import replace
+from collections import Counter
+from dataclasses import astuple, fields, replace
 
+import numpy as np
 import pytest
 
 from dersizer import (CaseSpec, DeviceCatalog, ScenarioSet, SolveOptions,
                       TariffPlan, build_model, check_solution, extract_solution,
                       oracle_enumerate, recompute_cost_breakdown, solve_milp)
 from dersizer.data_model import DayScenario
-from dersizer.errors import AuditError
 
 from conftest import tiny_sizing_inputs
+from scalar_audit import scalar_audit
 
 
-def _solved(seed=0, case=3, backend="reference"):
+def _solved(seed=0, case=3, backend="reference", soc_boundary="cyclic"):
     scen, catalog, tariff = tiny_sizing_inputs(seed)
-    instance = build_model(scen, catalog, tariff, CaseSpec.from_number(case))
+    instance = build_model(scen, catalog, tariff, CaseSpec.from_number(case),
+                           soc_boundary=soc_boundary)
     raw = solve_milp(instance, SolveOptions(relative_gap=1e-6, backend=backend))
     return extract_solution(instance, raw), scen, catalog, tariff, instance, raw
 
@@ -123,13 +126,24 @@ def test_breakdown_matches_oracle_term_assembly():
                                             rel=1e-6, abs=1e-6)
 
 
-def test_missing_dispatch_raises():
+def test_negative_capacity_is_a_sizing_violation():
     solution, scen, catalog, tariff, _, _ = _solved()
-    broken = replace(solution, grid=None)
-    with pytest.raises(AuditError):
-        check_solution(broken, scen, catalog, tariff)
-    with pytest.raises(AuditError):
-        recompute_cost_breakdown(broken, scen, catalog, tariff)
+    negative = replace(solution, capacities={**solution.capacities, "ic": -1e-3})
+    report = check_solution(negative, scen, catalog, tariff)
+    assert not report.ok
+    assert any(v.family == "capacity_nonneg" and v.scenario == "sizing"
+               and v.interval is None for v in report.violations)
+
+
+def test_peak_below_grid_draw_is_a_peak_link_violation():
+    solution, scen, catalog, tariff, _, _ = _solved()
+    lowered = replace(solution, grid=replace(solution.grid,
+                                             p_peak=solution.grid.p_peak - 1000.0))
+    report = check_solution(lowered, scen, catalog, tariff)
+    assert not report.ok
+    links = [(v.scenario, v.interval) for v in report.violations
+             if v.family == "peak_link"]
+    assert links == [("day000", t) for t in range(scen.intervals)]
 
 
 def test_soc_telescoping_identity():
@@ -152,3 +166,93 @@ def test_audit_report_text_serialization():
     text = report.to_text()
     assert "violations: 0" in text
     assert "monthly billing convention" in text
+
+
+@pytest.mark.parametrize("part, fault, family, interval", [
+    ("grid", "p_grid", "ac_balance", 17),
+    ("islanded", "shed_cl_ac", "isl_ac_balance", 17),
+    ("grid", "p_peak", "peak_cap", None),
+])
+def test_violation_is_located_at_its_scenario_and_interval(
+        solved_cases, reduced_set, table_catalog, default_tariff, part, fault, family,
+        interval):
+    """A fault in scenario 3 of six is reported at that day, and a
+    per-scenario check reports no interval."""
+    solution = solved_cases[3]["solution"]
+    s = 3
+    dispatch = getattr(solution, part)
+    block = getattr(dispatch, fault).copy()
+    if interval is None:
+        block[s] = default_tariff.peak_cap + 500.0
+    else:
+        block[s, interval] += 5.0
+    corrupted = replace(solution, **{part: replace(dispatch, **{fault: block})})
+    report = check_solution(corrupted, reduced_set, table_catalog, default_tariff)
+    assert family in {v.family for v in report.violations}
+    assert {(v.scenario, v.interval) for v in report.violations} == {
+        (reduced_set.days[s].id, interval)}
+
+
+def test_violations_are_ordered_by_check_then_scenario_then_interval(
+        solved_cases, reduced_set, table_catalog, default_tariff):
+    solution = solved_cases[3]["solution"]
+    grid = solution.grid
+    p_peak, p_grid = grid.p_peak.copy(), grid.p_grid.copy()
+    p_peak[[4, 1]] -= 1000.0
+    p_grid[4, 17] += 5.0
+    corrupted = replace(solution, grid=replace(grid, p_peak=p_peak, p_grid=p_grid))
+    report = check_solution(corrupted, reduced_set, table_catalog, default_tariff)
+    days = reduced_set.days
+    # ac_balance is checked before peak_link, so its later day comes first.
+    intervals = range(reduced_set.intervals)
+    assert [(v.family, v.scenario, v.interval) for v in report.violations] == [
+        ("ac_balance", days[4].id, 17)] + [
+        ("peak_link", days[s].id, t) for s in (1, 4) for t in intervals]
+
+
+def _faulted(solution, rng):
+    """``solution`` with one to four random capacities or block entries moved."""
+    caps = dict(solution.capacities)
+    parts = {"grid": solution.grid, "islanded": solution.islanded}
+    blocks = {part: {f.name: getattr(dispatch, f.name).copy() for f in fields(dispatch)}
+              for part, dispatch in parts.items()}
+    for _ in range(rng.integers(1, 5)):
+        step = 10.0 ** rng.uniform(-7, 3) * rng.choice([-1.0, 1.0])
+        part = rng.choice(["capacities", "grid", "islanded"])
+        if part == "capacities":
+            caps[rng.choice(sorted(caps))] += step
+        else:
+            block = blocks[part][rng.choice(sorted(blocks[part]))]
+            block[tuple(rng.integers(0, n) for n in block.shape)] += step
+    return replace(solution, capacities=caps,
+                   **{part: replace(parts[part], **blocks[part]) for part in parts})
+
+
+def _assert_matches_scalar_audit(solution, scen, catalog, tariff):
+    report = check_solution(solution, scen, catalog, tariff)
+    largest, violations = scalar_audit(solution, scen, catalog, tariff)
+    assert report.max_residual == largest
+    assert Counter(astuple(v) for v in report.violations) == Counter(violations)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_block_audit_matches_scalar_reference_on_tiny_cases(seed):
+    rng = np.random.default_rng(seed)
+    for case, soc_boundary in ((0, "cyclic"), (1, "cyclic"), (2, "cyclic"),
+                               (3, "cyclic"), (3, 0.5)):
+        solution, scen, catalog, tariff, _, _ = _solved(seed=seed, case=case,
+                                                        soc_boundary=soc_boundary)
+        _assert_matches_scalar_audit(solution, scen, catalog, tariff)
+        for _ in range(3):
+            _assert_matches_scalar_audit(_faulted(solution, rng), scen, catalog, tariff)
+
+
+def test_block_audit_matches_scalar_reference_on_fixture(
+        solved_cases, reduced_set, table_catalog, default_tariff):
+    rng = np.random.default_rng(6)
+    for bundle in solved_cases.values():
+        solution = bundle["solution"]
+        _assert_matches_scalar_audit(solution, reduced_set, table_catalog, default_tariff)
+        for _ in range(8):
+            _assert_matches_scalar_audit(_faulted(solution, rng), reduced_set,
+                                         table_catalog, default_tariff)

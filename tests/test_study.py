@@ -1,12 +1,13 @@
 """Study runner, report files, savings table and the CLI surface."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dersizer import CostBreakdown, compare_cases, run_study, write_profile_csv
+from dersizer import CostBreakdown, compare_cases, run_study, study, write_profile_csv
 from dersizer.cli import main as cli_main
 from dersizer.errors import ConfigError
 from dersizer.study import StudyConfig
@@ -64,11 +65,22 @@ def test_config_parsing_and_validation(tmp_path, small_profile_path):
 @pytest.mark.parametrize("block, named", [
     ({"weights": {"annual_day_weigth": 300}}, "annual_day_weigth"),
     ({"tariff": {}}, "energy_price"),
+    ({"split": {"critical_fractoin": 0.3}}, "critical_fractoin"),
+    ({"solve": {"gap": 1e-3}}, "gap"),
 ])
 def test_bad_config_block_is_a_config_error_naming_the_key(small_profile_path,
                                                            block, named):
     with pytest.raises(ConfigError, match=named):
         StudyConfig.from_dict({"profile": str(small_profile_path), **block})
+
+
+@pytest.mark.parametrize("block", ["split", "reduction", "catalog", "tariff",
+                                   "weights", "solve"])
+def test_config_block_that_is_not_an_object_is_a_config_error(small_profile_path,
+                                                              block):
+    for value in ([], [["energy_price", [0.1] * 24]], 1.0):
+        with pytest.raises(ConfigError, match=f"config block '{block}' must be a JSON"):
+            StudyConfig.from_dict({"profile": str(small_profile_path), block: value})
 
 
 def test_run_study_outputs_and_audited_totals(tmp_path, small_profile_path):
@@ -227,3 +239,20 @@ def test_cli_validate_exits_as_run_does(tmp_path, small_profile_path, overrides,
     assert cli_main(["validate", "--config", str(config_path)]) == code
     assert not (tmp_path / "out").exists()
     assert cli_main(["run", "--config", str(config_path)]) == code
+
+
+def test_cli_run_reports_a_negative_capacity_as_an_audit_failure(
+        tmp_path, small_profile_path, monkeypatch):
+    """A solution the audit rejects still gets its files and exits 2."""
+    real_extract = study.extract_solution
+
+    def negative_ic(instance, raw):
+        solution = real_extract(instance, raw)
+        return replace(solution, capacities={**solution.capacities, "ic": -1e-3})
+
+    monkeypatch.setattr(study, "extract_solution", negative_ic)
+    config_path = _config_file(tmp_path, small_profile_path, cases=[0])
+    assert cli_main(["run", "--config", str(config_path)]) == 2
+    out = tmp_path / "out"
+    assert (out / "results.csv").exists()
+    assert "capacity_nonneg [sizing]" in (out / "audit_case0.txt").read_text()
