@@ -11,9 +11,10 @@ the big-M values are recomputed from their documented formulas locally.
 Residuals are normalized by max(1, |rhs|) element by element, which puts
 kW-scale and $-scale rows on the same footing. The tolerance,
 ``AUDIT_TOL`` (1e-6), is deliberately looser than the LP core's 1e-7 so
-correct solutions never false-positive. Violations are listed in check
-order, then by scenario, then by interval; a block's shape gives its
-location (``"sizing"``, a day id, or a day id and an interval).
+correct solutions never false-positive; a residual that is not a number
+counts as infinite. Violations are listed in check order, then by
+scenario, then by interval; a block's shape gives its location
+(``"sizing"``, a day id, or a day id and an interval).
 """
 
 from __future__ import annotations
@@ -85,11 +86,14 @@ class _Collector:
     def finish(self, day_ids) -> tuple[float, list[AuditViolation]]:
         """The largest residual, and the violations if it exceeds ``AUDIT_TOL``."""
         every = np.concatenate([np.ravel(r) for _, r in self.checks])
-        # fmax skips NaN, as a scalar max() does; max(0.0, ...) turns -0.0 into 0.0.
-        largest = max(0.0, float(np.fmax.reduce(every, initial=0.0)))
+        # max propagates NaN, which counts as infinite; max(0.0, ...) turns
+        # -0.0 into 0.0.
+        largest = float(np.max(every, initial=0.0))
+        largest = np.inf if np.isnan(largest) else max(0.0, largest)
         found = []
         if largest > AUDIT_TOL:
             for family, residual in self.checks:
+                residual = np.where(np.isnan(residual), np.inf, residual)
                 for idx in np.argwhere(residual > AUDIT_TOL):
                     found.append(AuditViolation(
                         family, day_ids[idx[0]] if len(idx) else "sizing",

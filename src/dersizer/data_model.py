@@ -156,9 +156,9 @@ class TariffPlan:
     price: grid draw above it is infeasible rather than expensive.
     """
 
-    energy_price: np.ndarray  # $/kWh, one entry per interval
-    demand_price: float       # $/kW on the daily peak draw
-    peak_cap: float           # kW
+    energy_price: np.ndarray       # $/kWh, one entry per interval
+    demand_price: float = 18.0     # $/kW on the daily peak draw
+    peak_cap: float = 1000.0       # kW
 
     def __post_init__(self):
         object.__setattr__(self, "energy_price", _as_series(self.energy_price, "energy_price"))
@@ -172,8 +172,7 @@ class TariffPlan:
         return len(self.energy_price)
 
     @classmethod
-    def default_tou(cls, intervals: int = 24, demand_price: float = 18.0,
-                    peak_cap: float = 1000.0) -> "TariffPlan":
+    def default_tou(cls, intervals: int = 24) -> "TariffPlan":
         """Three-period TOU placeholder for a large commercial account.
 
         Peak $0.16 for 12:00-18:00, part-peak $0.12 for 08:00-12:00 and
@@ -186,7 +185,7 @@ class TariffPlan:
         price[8:12] = 0.12
         price[18:21] = 0.12
         price[12:18] = 0.16
-        return cls(energy_price=price, demand_price=demand_price, peak_cap=peak_cap)
+        return cls(energy_price=price)
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,8 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
     by its column-name prefix, and ``meta["col_family"]`` gives every
     column's position in that tuple as one int8 code per column;
     :func:`variable_blocks` turns them into index arrays.
+    ``meta["binary_safe_value"]`` is the reference solver's safe binary
+    assignment, one value per column of ``binary_indices``.
     """
     report = validate_scenario_set(scenario_set)
     if not report.ok:
@@ -129,10 +131,6 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
     t_count = scenario_set.intervals
     if tariff.intervals != t_count:
         raise BuildError(f"tariff has {tariff.intervals} prices for {t_count} intervals")
-    for eta in (catalog.eta_ic, catalog.eta_inv, catalog.eta_con,
-                catalog.eta_ch, catalog.eta_dch):
-        if eta <= 0:
-            raise BuildError("efficiencies must be positive")
     cyclic = isinstance(soc_boundary, str)
     if cyclic:
         if soc_boundary != "cyclic":
@@ -308,12 +306,12 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
         col_family[c[family]] = code
     # Heuristic hint for the reference solver: a binary assignment that stays
     # feasible whenever grid supply alone can carry the load (import direction
-    # open on both buses, battery held in the charging state). Used only to
-    # seed an incumbent; optimality proofs never rely on it.
-    safe = dict.fromkeys(c["z_flow"].ravel().tolist(), 1.0)
-    safe.update(dict.fromkeys(c["i_z_flow"].ravel().tolist(), 1.0))
+    # open on both buses, battery held in the charging state), one value per
+    # binary in column order. Used only to seed an incumbent; optimality
+    # proofs never rely on it.
+    safe = np.ones(n_cols)
     if es_on:
-        safe.update(dict.fromkeys(c["y_dch"].ravel().tolist(), 0.0))
+        safe[c["y_dch"]] = 0.0
     instance = MilpInstance(
         col_names=col_names, col_lower=lower, col_upper=upper, col_binary=col_binary,
         objective=objective, row_names=row_names, row_sense=tuple(row_sense), rhs=rhs,
@@ -323,11 +321,8 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
             "scenarios": n_s,
             "intervals": t_count,
             "case": case,
-            "m_flow": m_flow,
-            "m_es": m_es,
             "soc_boundary": soc_boundary,
-            "expected_dimensions": expected,
-            "binary_safe_value": safe,
+            "binary_safe_value": safe[col_binary],
         })
     instance.validate()
     return instance

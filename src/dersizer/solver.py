@@ -5,13 +5,13 @@ Three interchangeable backends sit behind :func:`solve_milp`:
 ``reference``
     In-repo branch and bound over the in-repo simplex core: one
     best-bound loop whose first node is the root, solved once, with a
-    depth-first dive on ties and most-fractional branching. A fractional
-    root runs a rounding heuristic before it branches, which usually
-    closes the gap immediately on near-integral relaxations. Before a
-    rounding attempt reaches the simplex, activity-bound propagation over
-    the rows checks its column bounds; an attempt it proves infeasible is
-    skipped as if its LP had been infeasible, and no tightened bound ever
-    reaches an LP. Deterministic.
+    depth-first dive on ties and most-fractional branching. A node is its
+    column-bound arrays; a child is its parent's with one binary fixed. A
+    fractional root runs a rounding heuristic before it branches, fixing
+    one value array over the binaries per attempt, which usually closes
+    the gap on near-integral relaxations. Propagation over the rows checks
+    an attempt's bounds first; one it proves infeasible is skipped as if
+    its LP had been infeasible. Deterministic.
 ``external``
     scipy's HiGHS-backed ``milp``. Much faster on full-size instances;
     same instance, same contract.
@@ -124,12 +124,15 @@ def solve_milp(instance: MilpInstance, options: SolveOptions | None = None) -> S
 # Reference branch and bound
 
 
-def _apply_fixes(instance, fixes):
-    lower = instance.col_lower.copy()
-    upper = instance.col_upper.copy()
-    for col, value in fixes.items():
-        lower[col] = max(lower[col], value)
-        upper[col] = min(upper[col], value)
+def _fixed(lower, upper, cols, values):
+    """Copies of the bounds with columns ``cols`` fixed at ``values``.
+
+    Bounds only tighten, ties keeping the bound as max and min do, so a
+    value outside a column's bounds leaves ``lower > upper``: infeasible.
+    """
+    lower, upper = lower.copy(), upper.copy()
+    lower[cols] = np.where(values > lower[cols], values, lower[cols])
+    upper[cols] = np.where(values < upper[cols], values, upper[cols])
     return lower, upper
 
 
@@ -212,39 +215,34 @@ class _Propagator:
         return False
 
 
-def _dive_attempts(instance: MilpInstance, x: np.ndarray) -> list[dict]:
-    """The distinct binary fixings the root dive tries for an incumbent, in order.
+def _dive_attempts(instance: MilpInstance, x: np.ndarray) -> list[np.ndarray]:
+    """The distinct binary values, in ``binary_indices`` order, the root dive tries.
 
     Plain rounding of the root point first, then rounding with ambiguous
-    binaries snapped to the model's safe assignment (an optional meta hint
-    naming a direction that cannot cut off grid-served dispatch), then the
-    fully safe assignment. The first feasible attempt wins.
+    binaries snapped to the safe assignment (the optional meta hint
+    ``binary_safe_value``, a value per binary that cannot cut off
+    grid-served dispatch), then the safe assignment. The first feasible
+    attempt wins.
     """
-    binaries = instance.binary_indices
-    hints = {int(k): float(v) for k, v in
-             instance.meta.get("binary_safe_value", {}).items()}
-    values = x[binaries]
+    values = x[instance.binary_indices]
     rounded = np.round(values)
-    away = np.abs(values - rounded)
-    attempts = [{int(j): float(rounded[i]) for i, j in enumerate(binaries)}]
-    if hints:
-        attempts.append({int(j): (hints.get(int(j), float(rounded[i]))
-                                  if away[i] > 0.25 else float(rounded[i]))
-                         for i, j in enumerate(binaries)})
-        attempts.append({int(j): hints.get(int(j), float(rounded[i]))
-                         for i, j in enumerate(binaries)})
-    distinct: list[dict] = []
-    for fixes in attempts:
-        if fixes not in distinct:
-            distinct.append(fixes)
+    attempts = [rounded]
+    safe = instance.meta.get("binary_safe_value")
+    if safe is not None:
+        attempts += [np.where(np.abs(values - rounded) > 0.25, safe, rounded), safe]
+    distinct: list[np.ndarray] = []
+    for attempt in attempts:
+        if not any(np.array_equal(attempt, seen) for seen in distinct):
+            distinct.append(attempt)
     return distinct
 
 
 def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResult:
     """Best-bound branch and bound over the bounded-simplex LP core.
 
-    The root is the first node (no fixings, a cold start, bound -inf) and is
-    solved once; a fractional root runs the rounding dive before it branches.
+    The root is the first node (the instance's bounds, a cold start, bound
+    -inf) and is solved once; a fractional root runs the rounding dive before
+    it branches.
     """
     deadline = (None if options.time_limit is None
                 else time.perf_counter() + options.time_limit)
@@ -252,8 +250,7 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
     binaries = instance.binary_indices
     log: list[NodeRecord] = []
 
-    def lp(fixes, warm=None):
-        lower, upper = _apply_fixes(instance, fixes)
+    def lp(lower, upper, warm=None):
         basis = warm.basis if warm is not None else None
         col_status = warm.col_status if warm is not None else None
         try:
@@ -274,15 +271,15 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
         if incumbent_obj is None or obj < incumbent_obj - 1e-12 * max(1.0, abs(obj)):
             incumbent_obj, incumbent_x = obj, x.copy()
 
-    # (bound, -depth, counter, fixes, parent's LpResult as the warm start)
-    heap: list[tuple] = [(-np.inf, 0, 0, {}, None)]
+    # (bound, -depth, counter, lower, upper, parent's LpResult as the warm start)
+    heap: list[tuple] = [(-np.inf, 0, 0, instance.col_lower, instance.col_upper, None)]
     counter = 0
     iterations = 0
     nodes = 0
     status = "optimal"
 
     while heap:
-        bound, neg_depth, _, fixes, warm = heapq.heappop(heap)
+        bound, neg_depth, _, lower, upper, warm = heapq.heappop(heap)
         depth = -neg_depth
         best_bound = bound
         if incumbent_obj is not None and _gap(incumbent_obj, bound) <= options.relative_gap:
@@ -290,7 +287,7 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
         if deadline is not None and time.perf_counter() > deadline:
             status = "time_limit"
             break
-        res = lp(fixes, warm)
+        res = lp(lower, upper, warm)
         iterations += res.iterations
         if depth:
             nodes += 1
@@ -317,11 +314,12 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
             continue
         if not depth:  # the root dives for an incumbent before it branches
             propagator = _Propagator(instance)
-            for dive_fixes in _dive_attempts(instance, res.x):
+            for values in _dive_attempts(instance, res.x):
+                fixed = _fixed(instance.col_lower, instance.col_upper, binaries, values)
                 # Skipped as if the LP had found it infeasible.
-                if propagator.refutes(*_apply_fixes(instance, dive_fixes)):
+                if propagator.refutes(*fixed):
                     continue
-                dive = lp(dive_fixes, warm=res)
+                dive = lp(*fixed, warm=res)
                 iterations += dive.iterations
                 if dive.status == "time_limit":
                     break
@@ -332,7 +330,7 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
         for value in (0.0, 1.0):
             counter += 1
             heapq.heappush(heap, (res.objective, -(depth + 1), counter,
-                                  {**fixes, pick: value}, res))
+                                  *_fixed(lower, upper, pick, value), res))
     else:
         if incumbent_obj is not None:
             best_bound = incumbent_obj  # every node processed or pruned: bound closed

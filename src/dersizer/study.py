@@ -21,7 +21,8 @@ from .audit import AuditReport, check_solution
 from .data_model import (AnnualProfile, DeviceCatalog, LoadSplitSpec, ScenarioSet,
                          TariffPlan, packaged_profile_path, parse_profile_csv,
                          validate_scenario_set)
-from .errors import ConfigError, DersizerError, IngestionError, ValidationError
+from .errors import (ConfigError, DersizerError, IngestionError, SolverError,
+                     ValidationError)
 from .finance import CostBreakdown
 from .milp_builder import build_model, extract_solution
 from .reduction import ReductionConfig, reduce_scenarios
@@ -44,9 +45,8 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-# What a config file gets for a tariff or solve key it leaves out; the
-# weights default to the StudyConfig fields they set.
-TARIFF_DEFAULTS = {"demand_price": 18.0, "peak_cap": 1000.0}
+# What a config file gets for a solve key it leaves out; the tariff keys
+# default to the TariffPlan fields and the weights to the StudyConfig fields.
 DEFAULT_SOLVE = SolveOptions(backend="external")
 WEIGHT_KEYS = ("annual_day_weight", "annual_demand_weight")
 
@@ -122,14 +122,13 @@ class StudyConfig:
                 reduction=ReductionConfig(**_config_block(raw, "reduction",
                                                           ReductionConfig)),
                 catalog=DeviceCatalog(**_config_block(raw, "catalog", DeviceCatalog)),
-                tariff=TariffPlan(**{**TARIFF_DEFAULTS,
-                                     **_config_block(raw, "tariff", TariffPlan)})
+                tariff=TariffPlan(**_config_block(raw, "tariff", TariffPlan))
                 if "tariff" in raw else None,
                 solve=replace(DEFAULT_SOLVE, **_config_block(raw, "solve", SolveOptions)),
                 soc_boundary=raw.get("soc_boundary", "cyclic"),
                 **{key: float(value) for key, value in weights.items()},
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, SolverError) as exc:
             raise ConfigError(f"bad study config: {exc}") from exc
 
     @classmethod

@@ -3,8 +3,12 @@
 ``scalar_audit`` evaluates every residual of ``dersizer.audit.check_solution``
 with plain Python arithmetic in a loop over scenarios and intervals. The
 block audit must give the same largest residual and the same violations,
-bit for bit, because each residual is the same IEEE expression.
+bit for bit, because each residual is the same IEEE expression. NaN
+propagates through every residual as it does in numpy, and in both audits
+a residual that is not a number counts as infinite.
 """
+
+import math
 
 from dersizer.audit import AUDIT_TOL
 
@@ -19,13 +23,26 @@ class _Collector:
         self._record(family, scenario, interval, measure)
 
     def at_most(self, family, scenario, interval, lhs, rhs):
-        measure = max(0.0, lhs - rhs) / max(1.0, abs(rhs))
+        excess = lhs - rhs
+        measure = (0.0 if excess <= 0.0 else excess) / max(1.0, abs(rhs))
         self._record(family, scenario, interval, measure)
 
     def _record(self, family, scenario, interval, measure):
+        if math.isnan(measure):
+            measure = math.inf
         self.max_residual = max(self.max_residual, measure)
         if measure > AUDIT_TOL:
             self.violations.append((family, scenario, interval, float(measure)))
+
+
+def _off_integer(value):
+    """|value - round(value)|; NaN where round() takes no value, as in numpy."""
+    return abs(value - round(value)) if math.isfinite(value) else math.nan
+
+
+def _min(a, b):
+    """min(a, b), NaN if either is NaN, as in numpy."""
+    return math.nan if math.isnan(a) or math.isnan(b) else min(a, b)
 
 
 def scalar_audit(solution, scenario_set, catalog, tariff):
@@ -112,10 +129,10 @@ def scalar_audit(solution, scenario_set, catalog, tariff):
             c.at_most("ch_cap", sid, t, ch_ac + ch_dc, x_es - u)
             c.equal("product_exact", sid, t, u, x_es * y)
             for name, value in (("flow_dir_binary", z), ("dch_state_binary", y)):
-                c.at_most(name, sid, t, abs(value - round(value)), 0.0)
+                c.at_most(name, sid, t, _off_integer(value), 0.0)
             c.at_most("charge_complementarity", sid, t,
-                      min(dch_ac + dch_dc, ch_ac + ch_dc), 0.0)
-            c.at_most("flow_complementarity", sid, t, min(f_in, f_out), 0.0)
+                      _min(dch_ac + dch_dc, ch_ac + ch_dc), 0.0)
+            c.at_most("flow_complementarity", sid, t, _min(f_in, f_out), 0.0)
 
             c.at_most("inv_sizing", sid, t, dch_ac + ch_ac / catalog.eta_inv, x_inv)
             c.at_most("con_sizing", sid, t,
@@ -153,8 +170,8 @@ def scalar_audit(solution, scenario_set, catalog, tariff):
             c.at_most("isl_pv_limit", sid, t, iv, avail * x_pv)
             c.at_most("isl_dch_power", sid, t, idch_ac + idch_dc, x_es)
             c.at_most("isl_dch_energy", sid, t, idch_ac + idch_dc, soc_prev)
-            c.at_most("isl_flow_dir_binary", sid, t, abs(zi - round(zi)), 0.0)
-            c.at_most("isl_flow_complementarity", sid, t, min(if_in, if_out), 0.0)
+            c.at_most("isl_flow_dir_binary", sid, t, _off_integer(zi), 0.0)
+            c.at_most("isl_flow_complementarity", sid, t, _min(if_in, if_out), 0.0)
 
             c.at_most("inv_sizing_isl", sid, t, idch_ac, x_inv)
             c.at_most("con_sizing_isl", sid, t, x_pv + idch_dc, x_con)

@@ -146,6 +146,28 @@ def test_peak_below_grid_draw_is_a_peak_link_violation():
     assert links == [("day000", t) for t in range(scen.intervals)]
 
 
+@pytest.mark.parametrize("name, index, located", [
+    ("p_grid", (0, 1), {("day000", 1)}),
+    ("z_flow", (0, 2), {("day000", 2)}),
+    ("pv", None, {("sizing", None)} | {("day000", t) for t in range(3)}),
+])
+def test_nan_in_a_solution_is_a_violation_at_its_location(name, index, located):
+    """A NaN residual compares below every tolerance, so it counts as infinite."""
+    solution, scen, catalog, tariff, _, _ = _solved()
+    if index is None:
+        bad = replace(solution, capacities={**solution.capacities, name: np.nan})
+    else:
+        block = getattr(solution.grid, name).copy()
+        block[index] = np.nan
+        bad = replace(solution, grid=replace(solution.grid, **{name: block}))
+    report = check_solution(bad, scen, catalog, tariff)
+    assert not report.ok
+    assert report.max_residual == np.inf
+    assert {(v.scenario, v.interval) for v in report.violations} == located
+    assert all(v.residual == np.inf for v in report.violations)
+    _assert_matches_scalar_audit(bad, scen, catalog, tariff)
+
+
 def test_soc_telescoping_identity():
     """Summed transitions: net stored change equals charge minus discharge
     throughput over the day; zero under the cyclic boundary."""

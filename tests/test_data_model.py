@@ -10,6 +10,7 @@ from dersizer import (DeviceCatalog, LoadSplitSpec, ScenarioSet, TariffPlan,
                       validate_scenario_set, write_profile_csv)
 from dersizer.data_model import DayScenario
 from dersizer.errors import IngestionError, ValidationError
+from dersizer.synthetic import build_synthetic_year
 
 
 def _write(tmp_path, rows, header="timestamp,load_kw,pv_pu"):
@@ -184,3 +185,9 @@ def test_split_spec_validation():
 
 def test_packaged_profile_path_exists():
     assert packaged_profile_path().exists()
+
+
+def test_packaged_year_is_written_by_its_recipe(tmp_path):
+    path = tmp_path / "synthetic_year.csv"
+    write_profile_csv(build_synthetic_year(), path)
+    assert path.read_bytes() == packaged_profile_path().read_bytes()

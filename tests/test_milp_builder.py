@@ -33,6 +33,12 @@ def _tariff(t):
     return TariffPlan(energy_price=[0.1] * t, demand_price=18.0, peak_cap=1000.0)
 
 
+def _coef(instance, row, col, s=0, t=1):
+    """The matrix entry of family ``col``'s column in family ``row``'s row at (s, t)."""
+    return instance.matrix[instance.row_names.index(f"{row}_s{s}_t{t}"),
+                           instance.col(col, s, t)]
+
+
 def test_big_m_es_is_battery_cap():
     scen = ScenarioSet(days=(_flat_day(),))
     assert compute_big_m(scen, DeviceCatalog())["m_es"] == 350.0
@@ -44,7 +50,8 @@ def test_big_m_degenerate_zero_then_builder_substitutes_one():
     values = compute_big_m(scen, catalog)
     assert values["m_flow"] == 0.0
     instance = build_model(scen, catalog, _tariff(2), CaseSpec.from_number(3))
-    assert instance.meta["m_flow"] == 1.0
+    assert _coef(instance, "flow_in_cap", "z_flow") == -1.0
+    assert instance.rhs[instance.row_names.index("flow_out_cap_s0_t1")] == 1.0
 
 
 def test_big_m_flow_formula_on_fixture_scale():
@@ -67,7 +74,6 @@ def test_dimensions_match_documented_formula(case_number, s, t):
     assert instance.n_cols == expected["n_cols"]
     assert instance.n_rows == expected["n_rows"]
     assert len(instance.binary_indices) == expected["n_binary"]
-    assert instance.meta["expected_dimensions"] == expected
 
 
 def test_tiny_case3_has_nine_binaries():
@@ -112,10 +118,8 @@ def test_index_blocks_match_column_names(case_number, soc_boundary):
         assert index.shape == (2, 3 + 1 - first), family
         for (s, t), j in np.ndenumerate(index):
             assert names[j] == f"{family}_s{s}_t{t + first}"
-    safe = instance.meta["binary_safe_value"]
-    assert sorted(safe) == instance.binary_indices.tolist()
-    assert all(safe[j] == (0.0 if names[j].startswith("y_dch_") else 1.0)
-               for j in safe)
+    assert instance.meta["binary_safe_value"].tolist() == [
+        0.0 if names[j].startswith("y_dch_") else 1.0 for j in instance.binary_indices]
 
 
 def test_case_flags_pin_capacity_bounds():
@@ -208,7 +212,8 @@ def _builder_digest(instance) -> str:
     for text in (instance.row_sense, instance.col_names, instance.row_names,
                  instance.meta["families"]):
         h.update("\n".join(text).encode() + b"|")
-    h.update(repr(sorted(instance.meta["binary_safe_value"].items())).encode())
+    h.update(repr(list(zip(instance.binary_indices.tolist(),
+                           instance.meta["binary_safe_value"].tolist()))).encode())
     return h.hexdigest()[:16]
 
 
@@ -279,7 +284,7 @@ def test_optimum_is_insensitive_to_doubled_big_m(monkeypatch):
     for seed, number in cases:
         scen, catalog, tariff = tiny_sizing_inputs(seed)
         instance = build_model(scen, catalog, tariff, CaseSpec.from_number(number))
-        baseline[seed, number] = (instance.meta, solve_milp(instance, options))
+        baseline[seed, number] = (instance, solve_milp(instance, options))
 
     def doubled(*args):
         return {key: 2.0 * value for key, value in compute_big_m(*args).items()}
@@ -288,9 +293,10 @@ def test_optimum_is_insensitive_to_doubled_big_m(monkeypatch):
     for seed, number in cases:
         scen, catalog, tariff = tiny_sizing_inputs(seed)
         instance = build_model(scen, catalog, tariff, CaseSpec.from_number(number))
-        meta, expected = baseline[seed, number]
-        assert instance.meta["m_flow"] == 2.0 * meta["m_flow"]
-        assert instance.meta["m_es"] == 2.0 * meta["m_es"]
+        base, expected = baseline[seed, number]
+        for row, col in (("flow_in_cap", "z_flow"), ("uon_dch", "y_dch")):
+            if f"{col}_s0_t1" in base.col_names:
+                assert _coef(instance, row, col) == 2.0 * _coef(base, row, col)
         result = solve_milp(instance, options)
         assert result.status == expected.status, (seed, number)
         assert result.objective == pytest.approx(expected.objective, rel=1e-9), \

@@ -260,15 +260,16 @@ def test_propagation_refutes_only_infeasible_bounds():
             constraints = LinearConstraint(inst.matrix, *inst.row_bounds())
             binaries = inst.binary_indices
             draws = np.random.default_rng(seed).integers(0, 2, (8, len(binaries)))
-            fixings = solver._dive_attempts(inst, solve_lp(inst).x) + [
-                dict(zip(binaries.tolist(), draw.astype(float))) for draw in draws]
-            for fixes in fixings:
-                lower, upper = solver._apply_fixes(inst, fixes)
+            fixings = solver._dive_attempts(inst, solve_lp(inst).x) + list(
+                draws.astype(float))
+            for values in fixings:
+                lower, upper = solver._fixed(inst.col_lower, inst.col_upper, binaries,
+                                             values)
                 if propagator.refutes(lower, upper):
                     refuted += 1
                     lp = milp(inst.objective, constraints=constraints,
                               bounds=Bounds(lower, upper))
-                    assert lp.status == 2, (case, seed, fixes)
+                    assert lp.status == 2, (case, seed, values)
             assert not propagator.refutes(inst.col_lower, inst.col_upper), (case, seed)
             lower, upper = inst.col_lower.copy(), inst.col_upper.copy()
             lower[0], upper[0] = 1.0, 0.0

@@ -233,12 +233,16 @@ def test_cli_propagates_solve_failure(tmp_path, small_profile_path):
     ({"tariff": {"energy_price": [0.1] * 12}}, 1),
     ({"soc_boundary": "monday"}, 1),
     ({"soc_boundary": 1.5}, 1),
+    ({"solve": {"backend": "highs"}}, 3),
+    ({"solve": {"relative_gap": -1}}, 3),
 ])
 def test_cli_validate_exits_as_run_does(tmp_path, small_profile_path, overrides, code):
     config_path = _config_file(tmp_path, small_profile_path, cases=[0], **overrides)
     assert cli_main(["validate", "--config", str(config_path)]) == code
     assert not (tmp_path / "out").exists()
     assert cli_main(["run", "--config", str(config_path)]) == code
+    if code == 3:
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_reports_a_negative_capacity_as_an_audit_failure(
