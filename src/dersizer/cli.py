@@ -13,7 +13,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .data_model import LoadSplitSpec, parse_profile_csv
-from .errors import ConfigError, DersizerError, IngestionError, ValidationError
+from .errors import (ConfigError, DersizerError, IngestionError, SolverError,
+                     ValidationError)
 from .milp_builder import build_model
 from .reduction import (REDUCTION_FEATURES, ReductionConfig, reduce_scenarios,
                         write_reduction_csv)
@@ -34,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="JSON study config")
     run.add_argument("--cases", help="comma-separated case numbers, e.g. 0,3")
     run.add_argument("--gap", type=float, help="relative MIP gap override")
-    run.add_argument("--backend", choices=BACKENDS, help="solver backend override")
+    run.add_argument("--backend", help=f"solver backend override: {', '.join(BACKENDS)}")
     run.add_argument("--audit", action="store_true",
                      help="print each case's audit transcript to stdout")
     run.add_argument("--out", help="output directory override")
@@ -59,10 +60,13 @@ def _cmd_run(args) -> int:
             raise ConfigError(f"bad --cases value {args.cases!r}") from exc
         config = replace(config, cases=cases)
     solve = config.solve
-    if args.gap is not None:
-        solve = replace(solve, relative_gap=args.gap)
-    if args.backend:
-        solve = replace(solve, backend=args.backend)
+    try:
+        if args.gap is not None:
+            solve = replace(solve, relative_gap=args.gap)
+        if args.backend:
+            solve = replace(solve, backend=args.backend)
+    except SolverError as exc:
+        raise ConfigError(f"bad solve override: {exc}") from exc
     config = replace(config, solve=solve)
     if args.out:
         config = replace(config, output_dir=Path(args.out))

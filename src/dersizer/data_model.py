@@ -252,11 +252,58 @@ class ValidationReport:
         return "\n".join(self.problems)
 
 
+HOUR = timedelta(hours=1)
+
+
 def _parse_timestamp(text: str, row: int) -> datetime:
     try:
         return datetime.fromisoformat(text)
     except ValueError as exc:
         raise IngestionError(f"row {row}: bad timestamp {text!r}") from exc
+
+
+def _hours(previous: datetime, stamp: datetime) -> float:
+    """Hours from ``previous`` to ``stamp``; NaN when only one has a UTC offset."""
+    try:
+        return (stamp - previous) / HOUR
+    except TypeError:
+        return np.nan
+
+
+def _first_row_fault(stamps, load, pv, numbers):
+    """The error of the earliest row whose hour step or values are wrong.
+
+    Row ``i`` (file line ``numbers[i]``) steps from ``stamps[i - 1]``; its
+    step is checked before its values. ``load`` and ``pv`` may be one
+    entry shorter than ``stamps`` when the last row's values did not parse.
+    Returns None when every row passes.
+    """
+    steps = np.array([_hours(previous, stamp)
+                      for previous, stamp in zip(stamps, stamps[1:])])
+    load, pv = np.array(load), np.array(pv)
+    bad_step = np.flatnonzero(steps != 1.0) + 1
+    bad_value = np.flatnonzero(~np.isfinite(load) | ~np.isfinite(pv) | (load < 0)
+                               | ~((pv >= 0.0) & (pv <= 1.0)))
+    if not (bad_step.size or bad_value.size):
+        return None
+    i = int(min(bad_step[:1].tolist() + bad_value[:1].tolist()))
+    row, stamp = numbers[i], stamps[i].isoformat()
+    if bad_step.size and bad_step[0] == i:
+        if np.isnan(steps[i - 1]):
+            return IngestionError(f"row {row}: timestamp {stamp} and the one before it "
+                                  "must both have a UTC offset or neither")
+        if steps[i - 1] == 0.0:
+            return IngestionError(f"row {row}: duplicate timestamp {stamp}")
+        if steps[i - 1] < 0.0:
+            return IngestionError(f"row {row}: timestamp {stamp} goes backwards")
+        missing = (stamps[i - 1] + HOUR).isoformat()
+        return IngestionError(f"row {row}: missing hour {missing} before {stamp}")
+    load_value, pv_value = float(load[i]), float(pv[i])
+    if not (np.isfinite(load_value) and np.isfinite(pv_value)):
+        return ValidationError(f"row {row}: non-finite value")
+    if load_value < 0:
+        return ValidationError(f"row {row}: load_kw={load_value} is negative")
+    return ValidationError(f"row {row}: pv_pu={pv_value} outside [0, 1]")
 
 
 def parse_profile_csv(path) -> AnnualProfile:
@@ -266,14 +313,17 @@ def parse_profile_csv(path) -> AnnualProfile:
     strictly increasing with exactly one hour between rows. Gaps and
     duplicates are ingestion errors naming the offending timestamp;
     negative loads or PV availability outside [0, 1] are validation
-    errors naming the row.
+    errors naming the row. Of several faults, the earliest row's is
+    raised, a step before the values on the same row.
     """
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"profile file not found: {path}")
-    timestamps: list[str] = []
+    stamps: list[datetime] = []
     load: list[float] = []
     pv: list[float] = []
+    numbers: list[int] = []
+    fault = None
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -283,44 +333,31 @@ def parse_profile_csv(path) -> AnnualProfile:
         if tuple(h.strip() for h in header) != PROFILE_COLUMNS:
             raise IngestionError(
                 f"{path}: header {header!r} does not match {list(PROFILE_COLUMNS)!r}")
-        previous: datetime | None = None
-        for row_number, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(PROFILE_COLUMNS):
-                raise IngestionError(f"row {row_number}: expected {len(PROFILE_COLUMNS)} "
-                                     f"fields, got {len(row)}")
-            stamp = _parse_timestamp(row[0].strip(), row_number)
-            if previous is not None:
-                delta = stamp - previous
-                if delta == timedelta(0):
-                    raise IngestionError(f"row {row_number}: duplicate timestamp "
-                                         f"{stamp.isoformat()}")
-                if delta < timedelta(0):
-                    raise IngestionError(f"row {row_number}: timestamp {stamp.isoformat()} "
-                                         "goes backwards")
-                if delta != timedelta(hours=1):
-                    missing = previous + timedelta(hours=1)
-                    raise IngestionError(f"row {row_number}: missing hour "
-                                         f"{missing.isoformat()} before {stamp.isoformat()}")
-            previous = stamp
-            try:
-                load_value = float(row[1])
-                pv_value = float(row[2])
-            except ValueError as exc:
-                raise IngestionError(f"row {row_number}: non-numeric value") from exc
-            if not np.isfinite(load_value) or not np.isfinite(pv_value):
-                raise ValidationError(f"row {row_number}: non-finite value")
-            if load_value < 0:
-                raise ValidationError(f"row {row_number}: load_kw={load_value} is negative")
-            if not 0.0 <= pv_value <= 1.0:
-                raise ValidationError(f"row {row_number}: pv_pu={pv_value} outside [0, 1]")
-            timestamps.append(stamp.isoformat())
-            load.append(load_value)
-            pv.append(pv_value)
-    if not timestamps:
+        # Rows are parsed here and checked together afterwards; a row that
+        # does not parse ends the read, and an earlier row's fault wins.
+        try:
+            for row_number, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(PROFILE_COLUMNS):
+                    raise IngestionError(f"row {row_number}: expected "
+                                         f"{len(PROFILE_COLUMNS)} fields, got {len(row)}")
+                stamps.append(_parse_timestamp(row[0].strip(), row_number))
+                numbers.append(row_number)
+                try:
+                    values = float(row[1]), float(row[2])
+                except ValueError as exc:
+                    raise IngestionError(f"row {row_number}: non-numeric value") from exc
+                load.append(values[0])
+                pv.append(values[1])
+        except IngestionError as exc:
+            fault = exc
+    fault = _first_row_fault(stamps, load, pv, numbers) or fault
+    if fault is not None:
+        raise fault
+    if not stamps:
         raise IngestionError(f"{path}: no data rows")
-    return AnnualProfile(timestamps=tuple(timestamps),
+    return AnnualProfile(timestamps=tuple(stamp.isoformat() for stamp in stamps),
                          load_kw=np.array(load), pv_pu=np.array(pv))
 
 

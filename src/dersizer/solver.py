@@ -13,8 +13,12 @@ Three interchangeable backends sit behind :func:`solve_milp`:
     an attempt's bounds first; one it proves infeasible is skipped as if
     its LP had been infeasible. Deterministic.
 ``external``
-    scipy's HiGHS-backed ``milp``. Much faster on full-size instances;
-    same instance, same contract.
+    scipy's HiGHS. HiGHS solves the LP relaxation, and the rounding dive
+    runs from its point with each surviving fixing a HiGHS LP. When the
+    dive's first feasible fixing is within the gap of the relaxation's
+    bound, that point is the answer, with no nodes; otherwise, or when the
+    relaxation does not solve, HiGHS's ``milp`` searches. Much faster on
+    full-size instances; same instance, same contract.
 ``oracle``
     Brute-force enumeration of every binary assignment (hard-capped at 16
     binaries), each evaluated with an independently implemented LP solver
@@ -28,7 +32,8 @@ per node below the root (id, depth, bound, incumbent, gap) in
 ``SolveResult.node_log``.
 A ``time_limit`` ends the ``reference`` and ``external`` backends with
 status ``time_limit``, keeping any incumbent; the reference backend
-checks it in every simplex iteration.
+checks it in every simplex iteration, and the external backend holds
+every HiGHS call to the time that remains.
 """
 
 from __future__ import annotations
@@ -237,6 +242,30 @@ def _dive_attempts(instance: MilpInstance, x: np.ndarray) -> list[np.ndarray]:
     return distinct
 
 
+def _rounding_dive(instance: MilpInstance, x: np.ndarray, lp):
+    """The first feasible fixing of the rounding dive from the relaxed point ``x``.
+
+    Tries ``_dive_attempts`` in order. Propagation checks each attempt's
+    bounds first, and one it refutes is skipped as if its LP had been
+    infeasible. ``lp(lower, upper)`` solves a fixing on the caller's
+    backend and returns a result with ``status``, ``objective`` and ``x``.
+    Returns the first ``optimal`` result, or None once the attempts run
+    out or an LP ends with ``time_limit``.
+    """
+    propagator = _Propagator(instance)
+    for values in _dive_attempts(instance, x):
+        fixed = _fixed(instance.col_lower, instance.col_upper,
+                       instance.binary_indices, values)
+        if propagator.refutes(*fixed):
+            continue
+        res = lp(*fixed)
+        if res.status == "optimal":
+            return res
+        if res.status == "time_limit":
+            return None
+    return None
+
+
 def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResult:
     """Best-bound branch and bound over the bounded-simplex LP core.
 
@@ -313,19 +342,15 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
             try_incumbent(res.objective, res.x)
             continue
         if not depth:  # the root dives for an incumbent before it branches
-            propagator = _Propagator(instance)
-            for values in _dive_attempts(instance, res.x):
-                fixed = _fixed(instance.col_lower, instance.col_upper, binaries, values)
-                # Skipped as if the LP had found it infeasible.
-                if propagator.refutes(*fixed):
-                    continue
-                dive = lp(*fixed, warm=res)
+            def dive_lp(lower, upper):
+                nonlocal iterations
+                dive = lp(lower, upper, warm=res)
                 iterations += dive.iterations
-                if dive.status == "time_limit":
-                    break
-                if dive.status == "optimal":
-                    try_incumbent(dive.objective, dive.x)
-                    break
+                return dive
+
+            dive = _rounding_dive(instance, res.x, dive_lp)
+            if dive is not None:
+                try_incumbent(dive.objective, dive.x)
         pick = int(binaries[np.argmax(away)])  # most fractional, lowest index on ties
         for value in (0.0, 1.0):
             counter += 1
@@ -397,27 +422,55 @@ def oracle_enumerate(instance: MilpInstance) -> SolveResult:
 # ---------------------------------------------------------------------------
 # External backend (scipy / HiGHS)
 
+# scipy ``milp`` status codes for the dive LPs; any other code skips the fixing.
+_HIGHS_STATUS = {0: "optimal", 1: "time_limit", 2: "infeasible", 3: "unbounded"}
+
 
 def solve_external(instance: MilpInstance, options: SolveOptions) -> SolveResult:
-    """Solve with scipy's HiGHS ``milp`` behind the common result contract."""
+    """Solve with scipy's HiGHS behind the common result contract.
+
+    HiGHS solves the LP relaxation first, and the rounding dive runs from
+    its point, each fixing a HiGHS LP. A first feasible fixing within the
+    gap of the relaxation's bound is the answer, with no nodes. Otherwise,
+    or when the relaxation does not solve, HiGHS's ``milp`` searches.
+    ``time_limit`` is one deadline over every HiGHS call.
+    """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    opts = {"presolve": True, "mip_rel_gap": options.relative_gap, "disp": False}
-    if options.time_limit is not None:
-        opts["time_limit"] = options.time_limit
+    deadline = (None if options.time_limit is None
+                else time.perf_counter() + options.time_limit)
+    # CSC, the layout HiGHS takes, so scipy does not convert it on every call.
+    constraints = LinearConstraint(instance.matrix.tocsc(), *instance.row_bounds())
 
-    def run(objective):
-        return milp(c=objective,
-                    constraints=LinearConstraint(instance.matrix, *instance.row_bounds()),
-                    integrality=instance.col_binary.astype(int),
-                    bounds=Bounds(instance.col_lower, instance.col_upper),
-                    options=opts)
+    def run(objective, lower=instance.col_lower, upper=instance.col_upper,
+            integrality=None):
+        opts = {"presolve": True, "mip_rel_gap": options.relative_gap, "disp": False}
+        if deadline is not None:
+            opts["time_limit"] = max(0.0, deadline - time.perf_counter())
+        return milp(c=objective, constraints=constraints, integrality=integrality,
+                    bounds=Bounds(lower, upper), options=opts)
 
-    res = run(instance.objective)
+    def dive_lp(lower, upper):
+        res = run(instance.objective, lower, upper)
+        return SolveResult(_HIGHS_STATUS.get(res.status, "failed"),
+                           None if res.fun is None else float(res.fun),
+                           None if res.x is None else np.asarray(res.x))
+
+    relaxation = run(instance.objective)
+    if relaxation.status == 0:
+        dive = _rounding_dive(instance, np.asarray(relaxation.x), dive_lp)
+        if dive is not None:
+            gap = _gap(dive.objective, float(relaxation.fun))
+            if gap <= options.relative_gap:
+                return SolveResult("optimal" if gap <= 1e-12 else "gap_optimal",
+                                   dive.objective, dive.x, achieved_gap=gap)
+
+    integrality = instance.col_binary.astype(int)
+    res = run(instance.objective, integrality=integrality)
     if res.status == 2:
         # HiGHS reports some feasible unbounded LPs as infeasible; a solve
         # with a zero objective tells the two apart.
-        probe = run(np.zeros(instance.n_cols))
+        probe = run(np.zeros(instance.n_cols), integrality=integrality)
         if probe.status not in (0, 1) or probe.x is None:
             return SolveResult("infeasible", None, None, achieved_gap=np.inf)
     if res.status in (2, 3):

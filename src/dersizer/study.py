@@ -42,7 +42,7 @@ EXIT_OK, EXIT_SOLVE, EXIT_AUDIT, EXIT_CONFIG = 0, 1, 2, 3
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.6f}"
+    return f"{value + 0.0:.6f}"           # + 0.0 writes a -0.0 from a solver as 0.000000
 
 
 # What a config file gets for a solve key it leaves out; the tariff keys

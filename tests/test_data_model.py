@@ -1,5 +1,8 @@
 """Domain types, profile ingestion and the load split."""
 
+import random
+from datetime import datetime, timedelta
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +66,122 @@ def test_parse_pv_out_of_range(tmp_path):
     rows = ["2019-01-01T00:00:00,5,1.2"]
     with pytest.raises(ValidationError, match="pv_pu"):
         parse_profile_csv(_write(tmp_path, rows))
+
+
+@pytest.mark.parametrize("faults, error, message", [
+    # (row index, field, text) in file order; each file's first fault wins.
+    ([(3, 1, "-5"), (5, 2, "1.2"), (6, 0, "2019-01-01T09:00:00")],
+     ValidationError, "row 5: load_kw=-5.0 is negative"),
+    ([(2, 2, "1.2"), (3, 1, "-5")], ValidationError, r"row 4: pv_pu=1\.2 outside"),
+    ([(4, 0, "2019-01-01T03:00:00"), (4, 1, "nan"), (6, 1, "abc")],
+     IngestionError, "row 6: duplicate timestamp 2019-01-01T03:00:00"),
+    ([(3, 1, "inf"), (3, 0, "2019-01-01T05:00:00"), (5, 0, "bad")],
+     IngestionError, "row 5: missing hour 2019-01-01T03:00:00 before"),
+    ([(2, 1, "inf"), (3, 0, "2019-01-01T01:00:00")],
+     ValidationError, "row 4: non-finite value"),
+    ([(3, 1, "abc"), (5, 1, "-1")], IngestionError, "row 5: non-numeric value"),
+    ([(4, 2, "-0.5"), (2, 0, "bad")], IngestionError, "row 4: bad timestamp 'bad'"),
+    ([(1, 0, "2019-01-01T01:00:00+00:00"), (4, 1, "-1")],
+     IngestionError, "row 3: timestamp .* UTC offset or neither"),
+])
+def test_parse_reports_the_earliest_faulty_row(tmp_path, faults, error, message):
+    rows = [[f"2019-01-01T0{h}:00:00", "100", "0.5"] for h in range(8)]
+    for index, field, text in faults:
+        rows[index][field] = text
+    with pytest.raises(error, match=message):
+        parse_profile_csv(_write(tmp_path, [",".join(row) for row in rows]))
+
+
+def _loop_parse(rows):
+    """The per-row checks the parser once made, row by row, as the reference."""
+    previous = None
+    parsed = []
+    for row_number, row in enumerate(rows, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 3:
+            raise IngestionError(f"row {row_number}: expected 3 fields, got {len(row)}")
+        try:
+            stamp = datetime.fromisoformat(row[0].strip())
+        except ValueError:
+            raise IngestionError(f"row {row_number}: bad timestamp {row[0].strip()!r}")
+        if previous is not None:
+            delta = stamp - previous
+            if delta == timedelta(0):
+                raise IngestionError(f"row {row_number}: duplicate timestamp "
+                                     f"{stamp.isoformat()}")
+            if delta < timedelta(0):
+                raise IngestionError(f"row {row_number}: timestamp {stamp.isoformat()} "
+                                     "goes backwards")
+            if delta != timedelta(hours=1):
+                missing = previous + timedelta(hours=1)
+                raise IngestionError(f"row {row_number}: missing hour "
+                                     f"{missing.isoformat()} before {stamp.isoformat()}")
+        previous = stamp
+        try:
+            load, pv = float(row[1]), float(row[2])
+        except ValueError:
+            raise IngestionError(f"row {row_number}: non-numeric value")
+        if not np.isfinite(load) or not np.isfinite(pv):
+            raise ValidationError(f"row {row_number}: non-finite value")
+        if load < 0:
+            raise ValidationError(f"row {row_number}: load_kw={load} is negative")
+        if not 0.0 <= pv <= 1.0:
+            raise ValidationError(f"row {row_number}: pv_pu={pv} outside [0, 1]")
+        parsed.append((stamp.isoformat(), load, pv))
+    return parsed
+
+
+def _faulty_rows(rng):
+    start = datetime(2019, 3, 10)
+    rows = [[(start + timedelta(hours=h)).isoformat(), f"{rng.uniform(0, 500):.3f}",
+             f"{rng.uniform(0, 1):.3f}"] for h in range(rng.randint(1, 30))]
+    edits = {
+        "duplicate": lambda r, prev: r.__setitem__(0, prev[0]),
+        "backwards": lambda r, prev: r.__setitem__(0, (datetime.fromisoformat(prev[0])
+                                                       - timedelta(hours=2)).isoformat()),
+        "gap": lambda r, prev: r.__setitem__(0, (datetime.fromisoformat(r[0])
+                                                 + timedelta(minutes=rng.choice([1, 90])))
+                                             .isoformat()),
+        "non-numeric": lambda r, prev: r.__setitem__(rng.choice([1, 2]), "abc"),
+        "fields": lambda r, prev: r.append("x"),
+        "timestamp": lambda r, prev: r.__setitem__(0, "2019-13-01"),
+        "non-finite": lambda r, prev: r.__setitem__(rng.choice([1, 2]),
+                                                    rng.choice(["nan", "inf", "-inf"])),
+        "negative": lambda r, prev: r.__setitem__(1, rng.choice(["-5.5", "-0.0"])),
+        "pv": lambda r, prev: r.__setitem__(2, rng.choice(["1.2", "-0.1"])),
+        "blank": lambda r, prev: r.clear(),
+    }
+    for _ in range(rng.randint(0, 4)):
+        i = rng.randrange(1, len(rows)) if len(rows) > 1 else 0
+        if len(rows[i]) != 3 or len(rows[i - 1]) != 3:
+            continue
+        if any(r[0] == "2019-13-01" for r in (rows[i], rows[i - 1])):
+            continue
+        edits[rng.choice(sorted(edits))](rows[i], rows[i - 1])
+    return rows
+
+
+def test_parse_matches_the_row_by_row_reference(tmp_path):
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(300):
+        rows = _faulty_rows(rng)
+        path = _write(tmp_path, [",".join(row) for row in rows])
+        try:
+            expected = _loop_parse(rows)
+        except (IngestionError, ValidationError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                parse_profile_csv(path)
+            assert str(raised.value) == str(exc)
+            outcomes.add(str(exc).split(": ")[1].split(" ")[0].split("=")[0])
+            continue
+        if not expected:
+            continue
+        profile = parse_profile_csv(path)
+        assert list(zip(profile.timestamps, profile.load_kw.tolist(),
+                        profile.pv_pu.tolist())) == expected
+    assert len(outcomes) == 9               # each of the nine messages came first
 
 
 def test_packaged_fixture_peak_is_846(packaged_profile):

@@ -207,9 +207,13 @@ def test_reference_time_limit_stops_inside_the_root_lp(reduced_set, table_catalo
 
 
 @pytest.fixture(scope="module")
-def case3_k2(packaged_profile, table_catalog, default_tariff):
-    days = reduce_scenarios(packaged_profile, ReductionConfig(k=2), LoadSplitSpec())
-    return build_model(days, table_catalog, default_tariff, CaseSpec.from_number(3))
+def days_k2(packaged_profile):
+    return reduce_scenarios(packaged_profile, ReductionConfig(k=2), LoadSplitSpec())
+
+
+@pytest.fixture(scope="module")
+def case3_k2(days_k2, table_catalog, default_tariff):
+    return build_model(days_k2, table_catalog, default_tariff, CaseSpec.from_number(3))
 
 
 def test_reference_cold_root_takes_the_dual_phase(case3_k2):
@@ -325,3 +329,59 @@ def test_external_status_with_a_point_is_not_optimal(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "milp", failed_milp)
     with pytest.raises(SolverError, match="injected solve error"):
         solve_milp(inst, SolveOptions(backend="external"))
+
+
+def _count_highs_calls(monkeypatch):
+    import scipy.optimize
+    real = scipy.optimize.milp
+    calls = []
+
+    def milp(**kwargs):
+        calls.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", milp)
+    return calls
+
+
+def test_external_returns_the_dive_point_when_it_closes_the_gap(case3_k2, table_catalog,
+                                                                default_tariff, days_k2):
+    ext = solve_milp(case3_k2, SolveOptions(relative_gap=1e-4, backend="external"))
+    assert ext.status == "gap_optimal" and ext.nodes == 0
+    assert 0.0 < ext.achieved_gap <= 1e-4
+    ref = solve_milp(case3_k2, SolveOptions(relative_gap=1e-3, backend="reference"))
+    # Both backends take the same dive fixing: 357,203,014.643.
+    assert ext.objective == pytest.approx(ref.objective, rel=1e-9)
+    report = check_solution(extract_solution(case3_k2, ext), days_k2, table_catalog,
+                            default_tariff)
+    assert report.ok, report.to_text()
+
+
+def test_external_dive_that_closes_makes_two_highs_calls(case3_k2, monkeypatch):
+    calls = _count_highs_calls(monkeypatch)
+    res = solve_milp(case3_k2, SolveOptions(relative_gap=1e-4, backend="external"))
+    assert res.status == "gap_optimal"
+    # The relaxation, then the one fixing that propagation does not refute.
+    assert [call["integrality"] for call in calls] == [None, None]
+    binaries = case3_k2.binary_indices
+    fixed = calls[1]["bounds"]
+    assert np.array_equal(fixed.lb[binaries], fixed.ub[binaries])
+
+
+def test_external_falls_back_to_milp_when_the_dive_misses_the_gap(
+        days_k2, table_catalog, default_tariff, monkeypatch):
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    inst = build_model(days_k2, table_catalog, default_tariff, CaseSpec.from_number(1))
+    direct = milp(c=inst.objective,
+                  constraints=LinearConstraint(inst.matrix, *inst.row_bounds()),
+                  integrality=inst.col_binary.astype(int),
+                  bounds=Bounds(inst.col_lower, inst.col_upper),
+                  options={"presolve": True, "mip_rel_gap": 1e-4, "disp": False})
+    calls = _count_highs_calls(monkeypatch)
+    res = solve_milp(inst, SolveOptions(relative_gap=1e-4, backend="external"))
+    assert calls[0]["integrality"] is None and calls[-1]["integrality"] is not None
+    assert len(calls) > 2                 # the dive found a point, outside the gap
+    assert res.objective == direct.fun
+    np.testing.assert_array_equal(res.x, direct.x)
+    assert res.nodes == direct.mip_node_count
+    assert res.achieved_gap == direct.mip_gap

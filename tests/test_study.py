@@ -245,6 +245,15 @@ def test_cli_validate_exits_as_run_does(tmp_path, small_profile_path, overrides,
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("override", [["--gap", "-1"], ["--backend", "highs"]])
+def test_cli_bad_solve_override_is_a_config_error(tmp_path, small_profile_path,
+                                                  override, capsys):
+    config_path = _config_file(tmp_path, small_profile_path, cases=[0])
+    assert cli_main(["run", "--config", str(config_path), *override]) == 3
+    assert "bad solve override" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_reports_a_negative_capacity_as_an_audit_failure(
         tmp_path, small_profile_path, monkeypatch):
     """A solution the audit rejects still gets its files and exits 2."""
