@@ -1,8 +1,9 @@
 """Command line entry points: run a study, reduce a profile, validate a config.
 
 Exit codes (``study.EXIT_*``): 0 ok, 1 build or solve failure, 2 audit
-violation, 3 config or I/O error. ``validate`` builds every case without
-solving and exits with the code ``run`` reaches before its first solve.
+violation, 3 config, argument or I/O error. ``validate`` builds every case
+without solving and exits with the code ``run`` reaches before its first
+solve.
 """
 
 from __future__ import annotations
@@ -24,8 +25,16 @@ from .study import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVE, StudyConfig, prepare_study
                     run_study)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with ``EXIT_CONFIG``, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dersizer",
         description="Size PV, storage and converters for a hybrid AC/DC "
                     "microgrid by solving the scenario-based sizing MILP.")

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import fields
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,6 +82,16 @@ def compute_big_m(scenario_set: ScenarioSet, catalog: DeviceCatalog) -> dict[str
 
 
 _X_NAMES = ("x_pv", "x_es", "x_ic", "x_inv", "x_con")
+
+
+@lru_cache(maxsize=64)
+def _shared(items: tuple) -> tuple:
+    """The first tuple equal to ``items`` that recent builds made.
+
+    Names, senses and families depend only on a model's shape, so models
+    of one shape hold one copy of each.
+    """
+    return items
 
 
 def _layout(start: int, n_s: int,
@@ -122,8 +133,11 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
     by its column-name prefix, and ``meta["col_family"]`` gives every
     column's position in that tuple as one int8 code per column;
     :func:`variable_blocks` turns them into index arrays.
-    ``meta["binary_safe_value"]`` is the reference solver's safe binary
-    assignment, one value per column of ``binary_indices``.
+    ``meta["binary_on"]`` and ``meta["binary_off"]`` state which flows
+    each binary gates, as (2, n) arrays of (position in ``binary_indices``,
+    column) pairs: a binary must be 1 where its on columns carry flow and 0
+    where its off columns do. ``meta["binary_free"]`` marks the binaries
+    either value serves when neither carries flow; the others are 0 then.
     """
     report = validate_scenario_set(scenario_set)
     if not report.ok:
@@ -157,7 +171,7 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
                     *([(("soc",), 0, t_count + 1)] if es_on else []),
                     (dispatch, 1, t_count)]
     c, names = _layout(len(_X_NAMES), n_s, col_sections)  # c[family]: column indices
-    col_names = _X_NAMES + names
+    col_names = _shared(_X_NAMES + names)
     n_cols = len(col_names)
     x_pv, x_es, x_ic, x_inv, x_con = range(len(_X_NAMES))
 
@@ -300,21 +314,31 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
     matrix = sp.coo_matrix((values[kept], (rows[kept], cols[kept])),
                            shape=(n_rows, n_cols)).tocsr()
 
-    families = ("x", *c)
+    families = _shared(("x", *c))
     col_family = np.zeros(n_cols, dtype=np.int8)
     for code, family in enumerate(families[1:], start=1):
         col_family[c[family]] = code
-    # Heuristic hint for the reference solver: a binary assignment that stays
-    # feasible whenever grid supply alone can carry the load (import direction
-    # open on both buses, battery held in the charging state), one value per
-    # binary in column order. Used only to seed an incumbent; optimality
-    # proofs never rely on it.
-    safe = np.ones(n_cols)
+    # The flows each binary gates, from the rows above: f_dc_in needs
+    # z_flow = 1 and f_dc_out needs z_flow = 0 (likewise i_z_flow), and
+    # discharge needs y_dch = 1 through u_dch. A y_dch of 1 also stops
+    # charging, so y_dch is 0 without discharge. The solver's rounding dive
+    # reads these; optimality proofs never rely on them.
+    position = np.cumsum(col_binary) - 1    # a binary column's place in binary_indices
+    on = [(c["z_flow"], f_in), (c["i_z_flow"], i_f_in)]
+    off = [(c["z_flow"], f_out), (c["i_z_flow"], i_f_out)]
+    free = col_binary.copy()
     if es_on:
-        safe[c["y_dch"]] = 0.0
+        on += [(y, dch_ac), (y, dch_dc)]
+        free[y] = False
+
+    def gates(pairs):
+        return np.array([np.concatenate([position[b].ravel() for b, _ in pairs]),
+                         np.concatenate([f.ravel() for _, f in pairs])])
+
     instance = MilpInstance(
         col_names=col_names, col_lower=lower, col_upper=upper, col_binary=col_binary,
-        objective=objective, row_names=row_names, row_sense=tuple(row_sense), rhs=rhs,
+        objective=objective, row_names=_shared(row_names),
+        row_sense=_shared(tuple(row_sense)), rhs=rhs,
         matrix=matrix, meta={
             "families": families,
             "col_family": col_family,
@@ -322,7 +346,9 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
             "intervals": t_count,
             "case": case,
             "soc_boundary": soc_boundary,
-            "binary_safe_value": safe[col_binary],
+            "binary_on": gates(on),
+            "binary_off": gates(off),
+            "binary_free": free[col_binary],
         })
     instance.validate()
     return instance

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .data_model import AnnualProfile, DayScenario, LoadSplitSpec, ScenarioSet, split_loads
 from .errors import ConfigError, ValidationError
@@ -93,6 +92,8 @@ def reduce_scenarios(profile: AnnualProfile, cfg: ReductionConfig,
     series is that same day's PV series, and its probability is the share
     of days assigned to it.
     """
+    from scipy.spatial.distance import cdist  # scipy.spatial loads only when reducing
+
     n_days = profile.whole_days
     if cfg.k > n_days:
         raise ConfigError(f"k={cfg.k} exceeds the {n_days} whole days available")
@@ -132,6 +133,8 @@ def reconstruction_error(profile: AnnualProfile, scenario_set: ScenarioSet,
     medoid; nonnegative always. The set must have been produced from the
     same profile (ids name source days).
     """
+    from scipy.spatial.distance import cdist
+
     features = _feature_matrix(profile, feature)
     chosen = [_source_day(day) for day in scenario_set.days]
     for day_index in chosen:

@@ -7,18 +7,17 @@ Three interchangeable backends sit behind :func:`solve_milp`:
     best-bound loop whose first node is the root, solved once, with a
     depth-first dive on ties and most-fractional branching. A node is its
     column-bound arrays; a child is its parent's with one binary fixed. A
-    fractional root runs a rounding heuristic before it branches, fixing
-    one value array over the binaries per attempt, which usually closes
-    the gap on near-integral relaxations. Propagation over the rows checks
-    an attempt's bounds first; one it proves infeasible is skipped as if
-    its LP had been infeasible. Deterministic.
+    fractional root runs a rounding dive before it branches: one LP with
+    every binary fixed, each to the value the relaxed flows it gates call
+    for (the builder's hints) or else rounded, which usually closes the
+    gap at the root. Deterministic.
 ``external``
     scipy's HiGHS. HiGHS solves the LP relaxation, and the rounding dive
-    runs from its point with each surviving fixing a HiGHS LP. When the
-    dive's first feasible fixing is within the gap of the relaxation's
-    bound, that point is the answer, with no nodes; otherwise, or when the
-    relaxation does not solve, HiGHS's ``milp`` searches. Much faster on
-    full-size instances; same instance, same contract.
+    runs from its point as one HiGHS LP. When the dive's point is within
+    the gap of the relaxation's bound, it is the answer, with no nodes;
+    otherwise, or when the relaxation does not solve, HiGHS's ``milp``
+    searches. Much faster on full-size instances; same instance, same
+    contract.
 ``oracle``
     Brute-force enumeration of every binary assignment (hard-capped at 16
     binaries), each evaluated with an independently implemented LP solver
@@ -141,129 +140,43 @@ def _fixed(lower, upper, cols, values):
     return lower, upper
 
 
-# Ten times the LP core's 1e-7 tolerance: a smaller miss may be round-off
-# in a fixing the LP accepts. Rounds are capped; on the packaged year
-# every refutation comes in round 3.
-PROPAGATION_TOL = 1e-6
-PROPAGATION_ROUNDS = 20
+# A gated flow above this carries its binary's value into the dive: the
+# LP core's feasibility tolerance.
+GATE_TOL = 1e-7
 
 
-def _step(bound):
-    return PROPAGATION_TOL * np.maximum(np.abs(bound), 1.0)
+def _dive_values(instance: MilpInstance, x: np.ndarray) -> np.ndarray:
+    """The binary values, in ``binary_indices`` order, the root dive fixes.
 
-
-class _Propagator:
-    """Activity-bound (domain) propagation over the rows of one instance.
-
-    Every row side is held as ``a x <= b``: side ``i`` caps row ``i`` from
-    above, side ``m + i`` is row ``i`` negated, and a side the row's sense
-    does not have gets ``b = inf``. Each round takes the least activity of
-    every side from the column bounds, refutes the bounds if one exceeds
-    its ``b``, and otherwise tightens each column by what the rest of its
-    side leaves (Achterberg, *Constraint Integer Programming*, 2007).
-    Integrality plays no part, so a refutation proves the LP over the given
-    bounds infeasible.
+    A binary is 1 where the relaxed point ``x`` sends flow through its on
+    columns and 0 where it does through its off columns (the meta hints
+    ``binary_on``/``binary_off``, (binary position, column) pairs). With
+    neither, a binary marked in ``binary_free`` takes its rounded value and
+    the others 0. An instance without the hints rounds every binary.
     """
+    values = np.round(x[instance.binary_indices])
+    if "binary_on" not in instance.meta:
+        return values
+    meta, n = instance.meta, len(values)
 
-    def __init__(self, instance: MilpInstance):
-        coo = instance.matrix.tocoo()
-        m = instance.n_rows
-        row_lower, row_upper = instance.row_bounds()
-        rhs = np.concatenate((row_upper, -row_lower))
-        self.n_sides = 2 * m
-        self.limit = rhs + _step(rhs)
-        side = np.concatenate((coo.row, coo.row + m))
-        cols = np.concatenate((coo.col, coo.col))
-        vals = np.concatenate((coo.data, -coo.data))
-        keep = np.isfinite(rhs[side])
-        # Entries with a positive coefficient cap their column from above
-        # and count at its lower bound; the others the reverse.
-        side, cols, vals = side[keep], cols[keep], vals[keep]
-        pos, neg = vals > 0.0, vals < 0.0
-        self.side = np.concatenate((side[pos], side[neg]))
-        self.pos_cols, self.neg_cols = cols[pos], cols[neg]
-        self.pos_vals, self.neg_vals = vals[pos], vals[neg]
-        self.vals = np.concatenate((self.pos_vals, self.neg_vals))
-        self.n_pos = len(self.pos_vals)
-        self.side_rhs = rhs[self.side]
+    def carries(pairs):
+        return np.bincount(pairs[0], weights=x[pairs[1]], minlength=n) > GATE_TOL
 
-    def refutes(self, lower: np.ndarray, upper: np.ndarray) -> bool:
-        """True when the rows provably admit no point inside the bounds."""
-        lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
-        p, side, n_sides = self.n_pos, self.side, self.n_sides
-        for _ in range(PROPAGATION_ROUNDS):
-            if (lower > upper + _step(upper)).any():
-                return True
-            least = np.concatenate((self.pos_vals * lower[self.pos_cols],
-                                    self.neg_vals * upper[self.neg_cols]))
-            infinite = np.isinf(least)
-            count = np.bincount(side, weights=infinite, minlength=n_sides)
-            finite = np.where(infinite, 0.0, least)
-            total = np.bincount(side, weights=finite, minlength=n_sides)
-            if ((count == 0) & (total > self.limit)).any():
-                return True
-            # a_j x_j <= b - (least activity of the rest of the side); NaN
-            # where the rest has an infinite term, and fmin/fmax skip NaN.
-            rest = np.where(count[side] == infinite, total[side] - finite, np.nan)
-            bound = (self.side_rhs - rest) / self.vals
-            new_upper = np.full_like(upper, np.inf)
-            new_lower = np.full_like(lower, -np.inf)
-            np.fmin.at(new_upper, self.pos_cols, bound[:p])
-            np.fmax.at(new_lower, self.neg_cols, bound[p:])
-            # Candidates are finite or keep their infinite start, so no inf - inf.
-            tighter_upper = new_upper + _step(new_upper) < upper
-            tighter_lower = new_lower - _step(new_lower) > lower
-            if not (tighter_upper.any() or tighter_lower.any()):
-                return False
-            upper = np.where(tighter_upper, new_upper, upper)
-            lower = np.where(tighter_lower, new_lower, lower)
-        return False
-
-
-def _dive_attempts(instance: MilpInstance, x: np.ndarray) -> list[np.ndarray]:
-    """The distinct binary values, in ``binary_indices`` order, the root dive tries.
-
-    Plain rounding of the root point first, then rounding with ambiguous
-    binaries snapped to the safe assignment (the optional meta hint
-    ``binary_safe_value``, a value per binary that cannot cut off
-    grid-served dispatch), then the safe assignment. The first feasible
-    attempt wins.
-    """
-    values = x[instance.binary_indices]
-    rounded = np.round(values)
-    attempts = [rounded]
-    safe = instance.meta.get("binary_safe_value")
-    if safe is not None:
-        attempts += [np.where(np.abs(values - rounded) > 0.25, safe, rounded), safe]
-    distinct: list[np.ndarray] = []
-    for attempt in attempts:
-        if not any(np.array_equal(attempt, seen) for seen in distinct):
-            distinct.append(attempt)
-    return distinct
+    idle = np.where(meta["binary_free"], values, 0.0)
+    return np.where(carries(meta["binary_on"]), 1.0,
+                    np.where(carries(meta["binary_off"]), 0.0, idle))
 
 
 def _rounding_dive(instance: MilpInstance, x: np.ndarray, lp):
-    """The first feasible fixing of the rounding dive from the relaxed point ``x``.
+    """The root dive from the relaxed point ``x``: one LP over ``_dive_values``.
 
-    Tries ``_dive_attempts`` in order. Propagation checks each attempt's
-    bounds first, and one it refutes is skipped as if its LP had been
-    infeasible. ``lp(lower, upper)`` solves a fixing on the caller's
-    backend and returns a result with ``status``, ``objective`` and ``x``.
-    Returns the first ``optimal`` result, or None once the attempts run
-    out or an LP ends with ``time_limit``.
+    ``lp(lower, upper)`` solves the fixing on the caller's backend and
+    returns a result with ``status``, ``objective`` and ``x``. Returns that
+    result when it is ``optimal``, and None otherwise.
     """
-    propagator = _Propagator(instance)
-    for values in _dive_attempts(instance, x):
-        fixed = _fixed(instance.col_lower, instance.col_upper,
-                       instance.binary_indices, values)
-        if propagator.refutes(*fixed):
-            continue
-        res = lp(*fixed)
-        if res.status == "optimal":
-            return res
-        if res.status == "time_limit":
-            return None
-    return None
+    res = lp(*_fixed(instance.col_lower, instance.col_upper, instance.binary_indices,
+                     _dive_values(instance, x)))
+    return res if res.status == "optimal" else None
 
 
 def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResult:
@@ -422,7 +335,7 @@ def oracle_enumerate(instance: MilpInstance) -> SolveResult:
 # ---------------------------------------------------------------------------
 # External backend (scipy / HiGHS)
 
-# scipy ``milp`` status codes for the dive LPs; any other code skips the fixing.
+# scipy ``milp`` status codes for the dive LP; any other code drops the dive.
 _HIGHS_STATUS = {0: "optimal", 1: "time_limit", 2: "infeasible", 3: "unbounded"}
 
 
@@ -430,8 +343,8 @@ def solve_external(instance: MilpInstance, options: SolveOptions) -> SolveResult
     """Solve with scipy's HiGHS behind the common result contract.
 
     HiGHS solves the LP relaxation first, and the rounding dive runs from
-    its point, each fixing a HiGHS LP. A first feasible fixing within the
-    gap of the relaxation's bound is the answer, with no nodes. Otherwise,
+    its point as one HiGHS LP. A dive point within the gap of the
+    relaxation's bound is the answer, with no nodes. Otherwise,
     or when the relaxation does not solve, HiGHS's ``milp`` searches.
     ``time_limit`` is one deadline over every HiGHS call.
     """

@@ -118,8 +118,26 @@ def test_index_blocks_match_column_names(case_number, soc_boundary):
         assert index.shape == (2, 3 + 1 - first), family
         for (s, t), j in np.ndenumerate(index):
             assert names[j] == f"{family}_s{s}_t{t + first}"
-    assert instance.meta["binary_safe_value"].tolist() == [
-        0.0 if names[j].startswith("y_dch_") else 1.0 for j in instance.binary_indices]
+    binaries = instance.binary_indices
+    assert instance.meta["binary_free"].tolist() == [
+        not names[j].startswith("y_dch_") for j in binaries]
+    for hint, gated in (
+            ("binary_on", {"z_flow": ["f_dc_in"], "i_z_flow": ["i_f_dc_in"],
+                           "y_dch": ["dch_ac", "dch_dc"]}),
+            ("binary_off", {"z_flow": ["f_dc_out"], "i_z_flow": ["i_f_dc_out"]})):
+        expected = sorted((f"{family}_s{s}_t{t}", f"{flow}_s{s}_t{t}")
+                          for family, flows in gated.items() if family in blocks
+                          for flow in flows for s in range(2) for t in range(1, 4))
+        pairs = sorted((names[binaries[b]], names[j]) for b, j in instance.meta[hint].T)
+        assert pairs == expected, hint
+
+
+def test_models_of_one_shape_share_names_and_senses():
+    first = build_model(*tiny_sizing_inputs(0), CaseSpec.from_number(3))
+    second = build_model(*tiny_sizing_inputs(1), CaseSpec.from_number(3))
+    for shared in ("col_names", "row_names", "row_sense"):
+        assert getattr(first, shared) is getattr(second, shared), shared
+    assert first.meta["families"] is second.meta["families"]
 
 
 def test_case_flags_pin_capacity_bounds():
@@ -202,7 +220,7 @@ def test_product_reformulation_rejects_small_m(monkeypatch):
 
 
 def _builder_digest(instance) -> str:
-    """Hash of every array, sense, name, family code and safe hint."""
+    """Hash of every array, sense, name, family code and binary gate hint."""
     h = hashlib.sha256()
     for arr in (instance.objective, instance.col_lower, instance.col_upper,
                 instance.col_binary, instance.rhs, instance.matrix.indptr,
@@ -212,19 +230,20 @@ def _builder_digest(instance) -> str:
     for text in (instance.row_sense, instance.col_names, instance.row_names,
                  instance.meta["families"]):
         h.update("\n".join(text).encode() + b"|")
-    h.update(repr(list(zip(instance.binary_indices.tolist(),
-                           instance.meta["binary_safe_value"].tolist()))).encode())
+    for hint in ("binary_on", "binary_off", "binary_free"):
+        h.update(repr(instance.meta[hint].tolist()).encode() + b"|")
     return h.hexdigest()[:16]
 
 
-# Digests of the builder's output for _pinned_inputs(), one per (case, boundary),
-# as the earlier row-at-a-time builder produced them.
-# Without a battery (cases 0 and 1) the SoC boundary builds nothing.
+# Digests of the builder's output for _pinned_inputs(), one per (case, boundary).
+# Apart from the binary gate hints, they hash what the earlier row-at-a-time
+# builder produced. Without a battery (cases 0 and 1) the SoC boundary builds
+# nothing.
 PINNED_DIGESTS = {
-    (0, "cyclic"): "f744c9cb2c5f44b5", (0, 0.5): "f744c9cb2c5f44b5",
-    (1, "cyclic"): "7358ad8dde2984dc", (1, 0.5): "7358ad8dde2984dc",
-    (2, "cyclic"): "5626ca5a15b7be96", (2, 0.5): "3fa3a42820f54087",
-    (3, "cyclic"): "8beb66872de8880b", (3, 0.5): "6dcfcc764cfa744d",
+    (0, "cyclic"): "34d1a89d1a400f7f", (0, 0.5): "34d1a89d1a400f7f",
+    (1, "cyclic"): "5142724af2c0e84b", (1, 0.5): "5142724af2c0e84b",
+    (2, "cyclic"): "6493f170fc6edbe6", (2, 0.5): "dccfa417c808b8f5",
+    (3, "cyclic"): "fa5c282a60d1c609", (3, 0.5): "c641b3603d7a03d3",
 }
 
 

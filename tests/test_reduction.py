@@ -1,8 +1,14 @@
 """Representative-day selection and its quality metric."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dersizer
 from dersizer import LoadSplitSpec, ReductionConfig, reconstruction_error, reduce_scenarios
 from dersizer.errors import ConfigError
 from dersizer.reduction import write_reduction_csv
@@ -120,3 +126,13 @@ def test_bad_config_values():
         ReductionConfig(feature="weather")
     with pytest.raises(ConfigError):
         StudyConfig.from_dict({"reduction": {"method": "greedy-kmedoids"}})
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # Only a reduction needs cdist, so importing the package does not pay for
+    # scipy.spatial.
+    env = {**os.environ, "PYTHONPATH": str(Path(dersizer.__file__).parents[1])}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, dersizer; print('scipy.spatial' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout.strip()
+    assert loaded == "False"

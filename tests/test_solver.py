@@ -10,6 +10,7 @@ from dersizer import (CaseSpec, LoadSplitSpec, ReductionConfig, SolveOptions,
                       build_model, check_solution, extract_solution,
                       oracle_enumerate, reduce_scenarios, solve_lp, solve_milp)
 from dersizer.errors import NumericalError, OracleGuardError, SolverError
+from dersizer.milp_builder import variable_blocks
 from dersizer.milp_instance import GE
 
 from conftest import dense_instance, tiny_sizing_inputs
@@ -79,7 +80,7 @@ def test_external_matches_oracle_on_tiny_sizing():
 
 
 def test_node_log_bounds_monotone():
-    inst, _ = _tiny_instance(2)  # known to branch
+    inst, _ = _tiny_instance(11)  # known to branch at gap 0
     res = solve_milp(inst, SolveOptions(relative_gap=0.0, backend="reference"))
     assert res.nodes > 0 and res.node_log
     bounds = [record.bound for record in res.node_log]
@@ -93,9 +94,9 @@ def test_node_log_bounds_monotone():
 
 def test_root_lp_is_solved_once(monkeypatch):
     # The root is the tree's first node: one cold LP with no fixings, then
-    # the rounding dive's LPs, which fix every binary, then one LP per node
-    # below the root.
-    inst, _ = _tiny_instance(2)  # known to branch
+    # the rounding dive's one LP, which fixes every binary, then one LP per
+    # node below the root.
+    inst, _ = _tiny_instance(11)  # known to branch at gap 0
     real = solver.simplex_solve
     calls = []
 
@@ -109,9 +110,8 @@ def test_root_lp_is_solved_once(monkeypatch):
     binaries = inst.binary_indices
     fixes_all = [bool(np.all(lower[binaries] == upper[binaries]))
                  for lower, upper in calls[1:]]
-    dive = fixes_all.index(False) if False in fixes_all else len(fixes_all)
-    assert dive > 0
-    assert len(calls) == 1 + dive + res.nodes
+    assert fixes_all[:2] == [True, False]
+    assert len(calls) == 2 + res.nodes
     assert len(res.node_log) == res.nodes
     unfixed = [np.array_equal(lower, inst.col_lower) and np.array_equal(upper, inst.col_upper)
                for lower, upper in calls]
@@ -133,11 +133,11 @@ def test_objective_scaling_property():
 
 
 def test_reference_is_deterministic():
-    inst, _ = _tiny_instance(2)
-    first = solve_milp(inst, SolveOptions(relative_gap=1e-6, backend="reference"))
-    second = solve_milp(inst, SolveOptions(relative_gap=1e-6, backend="reference"))
+    inst, _ = _tiny_instance(11)  # known to branch at gap 0
+    first = solve_milp(inst, SolveOptions(relative_gap=0.0, backend="reference"))
+    second = solve_milp(inst, SolveOptions(relative_gap=0.0, backend="reference"))
     assert first.objective == second.objective
-    assert first.nodes == second.nodes
+    assert first.nodes == second.nodes > 0
     np.testing.assert_array_equal(first.x, second.x)
     assert first.node_log == second.node_log
 
@@ -234,10 +234,9 @@ def test_reference_warm_starts_take_the_dual_phase(case3_k2):
     assert res.iterations < 2500
 
 
-def test_reference_dive_skips_refuted_fixings(case3_k2, monkeypatch):
-    # Plain rounding and the half-safe rounding cannot serve the load; the
-    # LP took 174 + 63 iterations to prove it. Propagation refutes both, so
-    # only the root and the fully safe dive reach the simplex.
+def test_reference_dive_is_one_lp(case3_k2, monkeypatch):
+    # The root LP, then one dive LP with every binary set from the flows it
+    # gates. That point closes the gap, so nothing branches.
     real = solver.simplex_solve
     calls = []
 
@@ -247,38 +246,43 @@ def test_reference_dive_skips_refuted_fixings(case3_k2, monkeypatch):
 
     monkeypatch.setattr(solver, "simplex_solve", simplex_solve)
     res = solve_milp(case3_k2, SolveOptions(relative_gap=1e-3, backend="reference"))
-    assert res.ok
+    assert res.ok and res.nodes == 0
     assert [call.status for call in calls] == ["optimal", "optimal"]
     assert res.iterations < 1500
 
 
-def test_propagation_refutes_only_infeasible_bounds():
-    # Every fixing the propagation refutes, from the dive attempts and eight
-    # seeded assignments per instance, must be an infeasible LP for HiGHS.
+def test_dive_values_are_lp_feasible_on_tiny_sizing():
+    # The fixing the dive takes from the relaxed point leaves a feasible LP.
     from scipy.optimize import Bounds, LinearConstraint, milp
-    refuted = 0
     for case in range(4):
         for seed in range(40):
             inst, _ = _tiny_instance(seed, case)
-            propagator = solver._Propagator(inst)
-            constraints = LinearConstraint(inst.matrix, *inst.row_bounds())
-            binaries = inst.binary_indices
-            draws = np.random.default_rng(seed).integers(0, 2, (8, len(binaries)))
-            fixings = solver._dive_attempts(inst, solve_lp(inst).x) + list(
-                draws.astype(float))
-            for values in fixings:
-                lower, upper = solver._fixed(inst.col_lower, inst.col_upper, binaries,
-                                             values)
-                if propagator.refutes(lower, upper):
-                    refuted += 1
-                    lp = milp(inst.objective, constraints=constraints,
-                              bounds=Bounds(lower, upper))
-                    assert lp.status == 2, (case, seed, values)
-            assert not propagator.refutes(inst.col_lower, inst.col_upper), (case, seed)
-            lower, upper = inst.col_lower.copy(), inst.col_upper.copy()
-            lower[0], upper[0] = 1.0, 0.0
-            assert propagator.refutes(lower, upper)
-    assert refuted > 500          # 837 of the fixings checked
+            values = solver._dive_values(inst, solve_lp(inst).x)
+            lower, upper = solver._fixed(inst.col_lower, inst.col_upper,
+                                         inst.binary_indices, values)
+            lp = milp(inst.objective,
+                      constraints=LinearConstraint(inst.matrix, *inst.row_bounds()),
+                      bounds=Bounds(lower, upper))
+            assert lp.status == 0, (case, seed, values)
+
+
+def test_dive_values_follow_the_gated_flows():
+    # A hand-built instance has no hints and rounds; a sizing model sets each
+    # binary from its flows, and y_dch is 0 without discharge.
+    inst = dense_instance([1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [[1.0, 1.0]],
+                          [GE], [0.0], binary=[True, True])
+    assert solver._dive_values(inst, np.array([0.4, 0.6])).tolist() == [0.0, 1.0]
+    sized, _ = _tiny_instance(0)
+    blocks = variable_blocks(sized)
+    x = np.zeros(sized.n_cols)
+    x[blocks["z_flow"]] = x[blocks["y_dch"]] = 0.9
+    x[blocks["i_z_flow"]] = 0.1
+    x[blocks["f_dc_out"][0, 0]] = x[blocks["i_f_dc_in"][0, 1]] = 1.0
+    x[blocks["dch_dc"][0, 2]] = 1.0
+    values = dict(zip(sized.binary_indices.tolist(), solver._dive_values(sized, x)))
+    assert [values[j] for j in blocks["z_flow"][0]] == [0.0, 1.0, 1.0]
+    assert [values[j] for j in blocks["i_z_flow"][0]] == [0.0, 1.0, 0.0]
+    assert [values[j] for j in blocks["y_dch"][0]] == [0.0, 0.0, 1.0]
 
 
 def test_external_time_limit_without_incumbent_is_a_status(reduced_set, table_catalog,
@@ -301,7 +305,7 @@ def _fail_warm_starts(monkeypatch, error):
 
 
 def test_warm_start_numerical_error_retries_cold(monkeypatch):
-    inst, _ = _tiny_instance(2)  # known to branch, so it warm-starts
+    inst, _ = _tiny_instance(2)  # fractional at the root, so the dive warm-starts
     expected = solve_milp(inst, SolveOptions(relative_gap=1e-6, backend="reference"))
     _fail_warm_starts(monkeypatch, NumericalError("injected"))
     res = solve_milp(inst, SolveOptions(relative_gap=1e-6, backend="reference"))
@@ -346,11 +350,11 @@ def _count_highs_calls(monkeypatch):
 
 def test_external_returns_the_dive_point_when_it_closes_the_gap(case3_k2, table_catalog,
                                                                 default_tariff, days_k2):
-    ext = solve_milp(case3_k2, SolveOptions(relative_gap=1e-4, backend="external"))
-    assert ext.status == "gap_optimal" and ext.nodes == 0
-    assert 0.0 < ext.achieved_gap <= 1e-4
+    ext = solve_milp(case3_k2, SolveOptions(relative_gap=0.0, backend="external"))
+    assert ext.status == "optimal" and ext.nodes == 0
+    assert ext.achieved_gap == 0.0
     ref = solve_milp(case3_k2, SolveOptions(relative_gap=1e-3, backend="reference"))
-    # Both backends take the same dive fixing: 357,203,014.643.
+    # Both backends take the same dive fixing: 357,183,320.482.
     assert ext.objective == pytest.approx(ref.objective, rel=1e-9)
     report = check_solution(extract_solution(case3_k2, ext), days_k2, table_catalog,
                             default_tariff)
@@ -359,29 +363,30 @@ def test_external_returns_the_dive_point_when_it_closes_the_gap(case3_k2, table_
 
 def test_external_dive_that_closes_makes_two_highs_calls(case3_k2, monkeypatch):
     calls = _count_highs_calls(monkeypatch)
-    res = solve_milp(case3_k2, SolveOptions(relative_gap=1e-4, backend="external"))
-    assert res.status == "gap_optimal"
-    # The relaxation, then the one fixing that propagation does not refute.
+    res = solve_milp(case3_k2, SolveOptions(relative_gap=0.0, backend="external"))
+    assert res.status == "optimal"
+    # The relaxation, then the dive's one fixing.
     assert [call["integrality"] for call in calls] == [None, None]
     binaries = case3_k2.binary_indices
     fixed = calls[1]["bounds"]
     assert np.array_equal(fixed.lb[binaries], fixed.ub[binaries])
 
 
-def test_external_falls_back_to_milp_when_the_dive_misses_the_gap(
-        days_k2, table_catalog, default_tariff, monkeypatch):
+def test_external_falls_back_to_milp_when_the_dive_misses_the_gap(monkeypatch):
     from scipy.optimize import Bounds, LinearConstraint, milp
-    inst = build_model(days_k2, table_catalog, default_tariff, CaseSpec.from_number(1))
-    direct = milp(c=inst.objective,
-                  constraints=LinearConstraint(inst.matrix, *inst.row_bounds()),
-                  integrality=inst.col_binary.astype(int),
-                  bounds=Bounds(inst.col_lower, inst.col_upper),
-                  options={"presolve": True, "mip_rel_gap": 1e-4, "disp": False})
     calls = _count_highs_calls(monkeypatch)
-    res = solve_milp(inst, SolveOptions(relative_gap=1e-4, backend="external"))
-    assert calls[0]["integrality"] is None and calls[-1]["integrality"] is not None
-    assert len(calls) > 2                 # the dive found a point, outside the gap
-    assert res.objective == direct.fun
-    np.testing.assert_array_equal(res.x, direct.x)
-    assert res.nodes == direct.mip_node_count
-    assert res.achieved_gap == direct.mip_gap
+    for seed in (18, 22, 28, 34):     # the tiny seeds whose dive misses gap 0
+        inst, _ = _tiny_instance(seed)
+        direct = milp(c=inst.objective,
+                      constraints=LinearConstraint(inst.matrix, *inst.row_bounds()),
+                      integrality=inst.col_binary.astype(int),
+                      bounds=Bounds(inst.col_lower, inst.col_upper),
+                      options={"presolve": True, "mip_rel_gap": 0.0, "disp": False})
+        calls.clear()
+        res = solve_milp(inst, SolveOptions(relative_gap=0.0, backend="external"))
+        # The relaxation, the dive LP, then milp.
+        assert [call["integrality"] is None for call in calls] == [True, True, False]
+        assert res.objective == direct.fun
+        np.testing.assert_array_equal(res.x, direct.x)
+        assert res.nodes == direct.mip_node_count
+        assert res.achieved_gap == direct.mip_gap

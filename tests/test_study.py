@@ -254,6 +254,22 @@ def test_cli_bad_solve_override_is_a_config_error(tmp_path, small_profile_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [["run", "--config", "study.json", "--gap", "abc"],
+                                  ["run"], []])
+def test_cli_argument_errors_are_config_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(argv)
+    assert exit_info.value.code == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["run", "--help"])
+    assert exit_info.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
 def test_cli_run_reports_a_negative_capacity_as_an_audit_failure(
         tmp_path, small_profile_path, monkeypatch):
     """A solution the audit rejects still gets its files and exits 2."""
