@@ -169,6 +169,17 @@ class _Factor:
             v = v - np.bincount(self.rows[:k], s, minlength=len(v))
         return self.lu.solve(v, trans="T")
 
+    def btran_unit(self, r: int) -> np.ndarray:
+        """Row ``r`` of ``B^-1``: ``btran(e_r)``, with the eta block's product
+        with ``e_r`` read as its column ``r``."""
+        v = np.zeros(self.etas.shape[1])
+        v[r] = 1.0
+        k = self.age
+        if k:
+            v -= np.bincount(self.rows[:k], self.etas[:k, r] @ self.l_inv[:k, :k],
+                             minlength=len(v))
+        return self.lu.solve(v, trans="T")
+
 
 def _cold_start(form: StandardForm, lower: np.ndarray, upper: np.ndarray):
     """Logical basis; structural columns at the finite bound nearest zero."""
@@ -309,7 +320,6 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
         shift = np.flatnonzero(np.minimum(d * rate_up, d * rate_dn) < -TOL_OPT)
         cost[shift] -= d[shift]
         d[shift] = 0.0
-        unit = np.zeros(m)
         stall, last_merit = 0, -np.inf
         while True:
             if time_up():
@@ -333,9 +343,7 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
             # Row r of B^-1 N, signed so that a > 0 on a column that moves
             # the leaving value toward its violated bound by rising.
             above = bool(x_b[r] > u_b[r])
-            unit[r] = 1.0
-            rho = factor.btran(unit)
-            unit[r] = 0.0
+            rho = factor.btran_unit(r)
             # Only the row's nonzeros (ascending) can enter or move d.
             a = form.matrix_t @ rho
             nz = np.flatnonzero(a)
