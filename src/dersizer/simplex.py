@@ -13,12 +13,19 @@ Dual phase. Every solve, cold or warm, starts with a bounded-variable dual
 simplex. A movable nonbasic column whose reduced cost is dual infeasible
 first gets a cost shift of ``-d_j``, which makes its reduced cost zero, so
 any start is dual feasible ("cost modification", Koberstein, *The dual
-simplex method*, PhD thesis, Paderborn 2005, ch. 4). The cold logical basis
-of the sizing MILP (nonnegative costs at finite lower bounds) and the warm
-basis of an optimal parent solve after only column bounds change (the
-rounding dive and the branch-and-bound nodes) need no shift. Each step
+simplex method*, PhD thesis, Paderborn 2005, ch. 4). On its first entry of
+a solve, the dual phase then perturbs every movable nonbasic cost by
+``eps_j = COST_PERTURBATION (1 + |c_j|) (1 + frac(GOLDEN j))``, added at a
+lower bound and subtracted at an upper one, so every reduced cost lies at
+least ``eps_j`` inside dual feasibility (Koberstein ch. 6; HiGHS does the
+same by default). The sizing MILP gates zero-cost flows with big-M
+binaries, so without it most dual ratio tests tie at zero and most pivots
+are degenerate: the case-3 root LP at k=2 took 1,234 iterations
+unperturbed and takes 864 perturbed. The amount is fixed by the column index, so no
+random generator is involved and runs stay deterministic. Each step
 leaves on the row of the largest bound violation (lowest row on ties),
-forms that row of ``B^-1 N`` from one ``btran`` and one product with the
+forms that row of ``B^-1 N`` from one ``btran`` of a unit vector (which
+reads one column of the eta block) and one product with the
 transposed matrix, and scans only the row's nonzeros. It enters by a Harris
 ratio test: among the movable nonbasic columns whose dual ratio lies within
 the bound relaxed by ``TOL_OPT``, the largest pivot magnitude, then the
@@ -30,12 +37,13 @@ basic column has the lowest index leaves, and the lowest index among the
 exact ratio ties enters.
 
 Primal loop. Once the basic values are feasible, the primal simplex takes
-the shifts off, restoring the true costs, and pivots to optimality or to an
-unbounded ray; without a shift it confirms optimality without a pivot.
-Pricing is Dantzig with a Bland fallback that engages when the objective
+the shifts and the perturbation off, restoring the true costs, and pivots
+to optimality or to an unbounded ray; this is the clean-up, and on the
+sizing model it rarely takes a pivot. Pricing is Dantzig with a Bland fallback that engages when the objective
 stalls, so the method terminates on degenerate models. If a basic value
 drifts past a bound by more than ``TOL_FEAS``, the basis goes back to the
-dual phase, which shifts costs again where it needs to.
+dual phase, which shifts costs again where it needs to but does not
+perturb them again.
 
 Tolerances follow the package contract: primal feasibility and dual
 optimality both 1e-7. Determinism: every tie in pricing and in the ratio
@@ -72,6 +80,10 @@ PIVOT_TOL = 1e-9
 TIE_TOL = 1e-9
 TOL_FEAS = 1e-7   # primal feasibility
 TOL_OPT = 1e-7    # dual optimality
+# Relative size of the one-time cost perturbation before the dual phase;
+# chosen over 1e-7, 1e-6 and 1e-5 by traced root iterations (CHANGES.md).
+COST_PERTURBATION = 1e-5
+GOLDEN = 0.6180339887   # spreads the perturbation over column indices
 
 
 @dataclass
@@ -307,19 +319,24 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
             raise NumericalError(f"iteration limit {max_iter} reached "
                                  f"(m={m}, n={form.n_struct})")
 
-    def dual_phase():
+    def dual_phase(perturb):
         """Dual simplex from any start, cold or warm, to primal feasibility.
 
         Every movable nonbasic column whose reduced cost is dual infeasible
         first gets its cost shifted by ``-d_j``, so the start is dual
-        feasible. Returns an ``LpResult`` when the solve ends here
-        (``infeasible`` or ``time_limit``), or None once the basic values
-        are feasible.
+        feasible. With ``perturb``, every movable nonbasic column's cost then
+        moves by ``_perturbation`` away from a zero reduced cost. Returns an
+        ``LpResult`` when the solve ends here (``infeasible`` or
+        ``time_limit``), or None once the basic values are feasible.
         """
         d = reduced_costs()
         shift = np.flatnonzero(np.minimum(d * rate_up, d * rate_dn) < -TOL_OPT)
         cost[shift] -= d[shift]
         d[shift] = 0.0
+        if perturb:
+            eps = _perturbation(c_full) * (rate_up + rate_dn)
+            cost[:] += eps
+            d += eps
         stall, last_merit = 0, -np.inf
         while True:
             if time_up():
@@ -465,12 +482,22 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
 
     c_b, l_b, u_b = cost[basis], l_full[basis], u_full[basis]
     iterations = 0
+    perturb = True  # only on the first entry: a hand-back after drift keeps true costs
     while True:
-        ended = dual_phase()
+        ended = dual_phase(perturb)
+        perturb = False
         if ended is None:
             ended = primal_phase()  # None: drifted, back to the dual phase
         if ended is not None:
             return ended
+
+
+def _perturbation(c: np.ndarray) -> np.ndarray:
+    """Perturbation sizes ``eps_j``: relative to ``1 + |c_j|``, and spread over
+    a factor [1, 2) by the golden-ratio sequence of the column index, so that
+    columns of equal cost stop tying without a random generator."""
+    spread = 1.0 + np.modf(GOLDEN * np.arange(len(c)))[0]
+    return COST_PERTURBATION * (1.0 + np.abs(c)) * spread
 
 
 def _max_residual(form: StandardForm, x: np.ndarray) -> float:

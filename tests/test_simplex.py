@@ -285,6 +285,47 @@ def test_degenerate_duplicate_rows_terminate():
     assert res.objective == pytest.approx(4.0, abs=1e-9)
 
 
+def _dual_degenerate_lp(seed, cost):
+    """Rows that hold at a drawn point, one of them fixing ``sum(x)``, with
+    every cost ``cost``: each feasible point is optimal, and at zero cost
+    so is every basis.
+
+    Columns are boxed, lower-bounded, upper-bounded or free, so the cold
+    start puts some at each bound.
+    """
+    rng = np.random.default_rng(seed)
+    n, m = 12, 6
+    x0 = rng.normal(0.0, 3.0, n)
+    kind = rng.integers(0, 4, n)  # boxed, lower only, upper only, free
+    lower = np.where(np.isin(kind, (0, 1)), x0 - rng.uniform(0.0, 3.0, n), -np.inf)
+    upper = np.where(np.isin(kind, (0, 2)), x0 + rng.uniform(0.0, 3.0, n), np.inf)
+    matrix = np.vstack([np.ones(n), np.where(rng.random((m, n)) < 0.4, 0.0,
+                                             rng.normal(0.0, 2.0, (m, n)))])
+    y0 = matrix @ x0
+    senses = [EQ] + [(LE, GE)[k] for k in rng.integers(0, 2, m)]
+    slack = rng.uniform(0.0, 2.0, m + 1)
+    rhs = [y0[0]] + [y0[i] + slack[i] if senses[i] == LE else y0[i] - slack[i]
+                     for i in range(1, m + 1)]
+    return dense_instance(np.full(n, cost), lower, upper, matrix, senses, rhs)
+
+
+@pytest.mark.parametrize("cost", [0.0, 1.0], ids=["zero", "equal"])
+def test_fully_dual_degenerate_lps_match_highs(cost):
+    # Every reduced cost is zero, or equal across the sum row, so the dual
+    # phase runs on the perturbed costs alone and the primal phase cleans up.
+    for seed in range(20):
+        inst = _dual_degenerate_lp(seed, cost)
+        mine = solve_lp(inst)
+        status, fun = _highs(inst, inst.objective)
+        assert mine.status == status == "optimal", seed
+        assert abs(mine.objective - fun) <= 1e-9 * max(1.0, abs(fun)), seed
+        row_lower, row_upper = inst.row_bounds()
+        activity = inst.matrix @ mine.x
+        assert (activity >= row_lower - TOL_FEAS).all(), seed
+        assert (activity <= row_upper + TOL_FEAS).all(), seed
+        assert (inst.col_lower <= mine.x).all() and (mine.x <= inst.col_upper).all(), seed
+
+
 def test_bland_rule_waits_for_a_stall(monkeypatch):
     # The first iteration of a phase is no stall, so even a stall limit of
     # 0 leaves it to the largest violation: x0 + x1 >= 5 leaves, and one
