@@ -20,16 +20,15 @@ lower bound and subtracted at an upper one, so every reduced cost lies at
 least ``eps_j`` inside dual feasibility (Koberstein ch. 6; HiGHS does the
 same by default). The sizing MILP gates zero-cost flows with big-M
 binaries, so without it most dual ratio tests tie at zero and most pivots
-are degenerate: the case-3 root LP at k=2 took 1,234 iterations
-unperturbed and takes 864 perturbed. The amount is fixed by the column index, so no
-random generator is involved and runs stay deterministic. Each step
-leaves on the row of the largest bound violation (lowest row on ties),
-forms that row of ``B^-1 N`` from one ``btran`` of a unit vector (which
-reads one column of the eta block) and one product with the
-transposed matrix, and scans only the row's nonzeros. It enters by a Harris
-ratio test: among the movable nonbasic columns whose dual ratio lies within
-the bound relaxed by ``TOL_OPT``, the largest pivot magnitude, then the
-lowest index. No eligible column on a fresh factorization proves the LP
+are degenerate (five in six on the case-3 root LP at k=2). The amount is
+fixed by the column index, so no random generator is involved and runs stay
+deterministic. Each step leaves on the row of the largest bound violation
+(lowest row on ties), forms that row of ``B^-1 N`` from one ``btran`` of a
+unit vector, which reads one column of the eta block, and one product with
+the transposed matrix, and scans only the row's nonzeros. It enters by a
+Harris ratio test: among the movable nonbasic columns whose dual ratio lies
+within the bound relaxed by ``TOL_OPT``, the largest pivot magnitude, then
+the lowest index. No eligible column on a fresh factorization proves the LP
 infeasible. Reduced costs are updated along the row and recomputed at each
 refactorization. After ``STALL_LIMIT`` iterations in which the dual
 objective does not rise, Bland's rule takes over: the violated row whose
@@ -39,11 +38,11 @@ exact ratio ties enters.
 Primal loop. Once the basic values are feasible, the primal simplex takes
 the shifts and the perturbation off, restoring the true costs, and pivots
 to optimality or to an unbounded ray; this is the clean-up, and on the
-sizing model it rarely takes a pivot. Pricing is Dantzig with a Bland fallback that engages when the objective
-stalls, so the method terminates on degenerate models. If a basic value
-drifts past a bound by more than ``TOL_FEAS``, the basis goes back to the
-dual phase, which shifts costs again where it needs to but does not
-perturb them again.
+sizing model it rarely takes a pivot. Pricing is Dantzig with a Bland
+fallback that engages when the objective stalls, so the method terminates
+on degenerate models. If a basic value drifts past a bound by more than
+``TOL_FEAS``, the basis goes back to the dual phase, which shifts costs
+again where it needs to but does not perturb them again.
 
 Tolerances follow the package contract: primal feasibility and dual
 optimality both 1e-7. Determinism: every tie in pricing and in the ratio

@@ -193,8 +193,8 @@ def _highs(inst, objective):
 
 @pytest.mark.parametrize("stall_limit", [simplex.STALL_LIMIT, -1], ids=["default", "bland"])
 def test_general_lps_match_highs(monkeypatch, stall_limit):
-    # With a stall limit of -1 every iteration takes Bland's rule (952 dual
-    # and 345 primal Bland iterations over the set).
+    # With a stall limit of -1 every iteration takes Bland's rule (814 dual
+    # and 233 primal Bland iterations over the set).
     monkeypatch.setattr(simplex, "STALL_LIMIT", stall_limit)
     statuses = []
     for seed in range(400):
