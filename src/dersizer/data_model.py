@@ -9,14 +9,16 @@ Conventions used everywhere downstream:
 * PV availability is a per-unit series in [0, 1] against installed kW.
 
 Types are frozen dataclasses and safe to share between threads. The
-scenario containers are deliberately permissive at construction time:
-``validate_scenario_set`` is the single gate that reports every violated
-invariant instead of raising on the first one.
+scenario containers check only shape and finiteness when constructed:
+``DayScenario`` raises on a ragged or non-finite series and
+``ScenarioSet`` on an empty one. ``validate_scenario_set`` reports their
+value ranges, every violated invariant instead of only the first.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from importlib import resources
@@ -255,55 +257,21 @@ class ValidationReport:
 HOUR = timedelta(hours=1)
 
 
-def _parse_timestamp(text: str, row: int) -> datetime:
-    try:
-        return datetime.fromisoformat(text)
-    except ValueError as exc:
-        raise IngestionError(f"row {row}: bad timestamp {text!r}") from exc
+def _step_fault(row: int, previous: datetime, stamp: datetime, step) -> IngestionError:
+    """The error of a row whose ``step`` from ``previous`` is not one hour.
 
-
-def _hours(previous: datetime, stamp: datetime) -> float:
-    """Hours from ``previous`` to ``stamp``; NaN when only one has a UTC offset."""
-    try:
-        return (stamp - previous) / HOUR
-    except TypeError:
-        return np.nan
-
-
-def _first_row_fault(stamps, load, pv, numbers):
-    """The error of the earliest row whose hour step or values are wrong.
-
-    Row ``i`` (file line ``numbers[i]``) steps from ``stamps[i - 1]``; its
-    step is checked before its values. ``load`` and ``pv`` may be one
-    entry shorter than ``stamps`` when the last row's values did not parse.
-    Returns None when every row passes.
+    ``step`` is None when only one of the two timestamps has a UTC offset.
     """
-    steps = np.array([_hours(previous, stamp)
-                      for previous, stamp in zip(stamps, stamps[1:])])
-    load, pv = np.array(load), np.array(pv)
-    bad_step = np.flatnonzero(steps != 1.0) + 1
-    bad_value = np.flatnonzero(~np.isfinite(load) | ~np.isfinite(pv) | (load < 0)
-                               | ~((pv >= 0.0) & (pv <= 1.0)))
-    if not (bad_step.size or bad_value.size):
-        return None
-    i = int(min(bad_step[:1].tolist() + bad_value[:1].tolist()))
-    row, stamp = numbers[i], stamps[i].isoformat()
-    if bad_step.size and bad_step[0] == i:
-        if np.isnan(steps[i - 1]):
-            return IngestionError(f"row {row}: timestamp {stamp} and the one before it "
-                                  "must both have a UTC offset or neither")
-        if steps[i - 1] == 0.0:
-            return IngestionError(f"row {row}: duplicate timestamp {stamp}")
-        if steps[i - 1] < 0.0:
-            return IngestionError(f"row {row}: timestamp {stamp} goes backwards")
-        missing = (stamps[i - 1] + HOUR).isoformat()
-        return IngestionError(f"row {row}: missing hour {missing} before {stamp}")
-    load_value, pv_value = float(load[i]), float(pv[i])
-    if not (np.isfinite(load_value) and np.isfinite(pv_value)):
-        return ValidationError(f"row {row}: non-finite value")
-    if load_value < 0:
-        return ValidationError(f"row {row}: load_kw={load_value} is negative")
-    return ValidationError(f"row {row}: pv_pu={pv_value} outside [0, 1]")
+    text = stamp.isoformat()
+    if step is None:
+        return IngestionError(f"row {row}: timestamp {text} and the one before it "
+                              "must both have a UTC offset or neither")
+    if not step:
+        return IngestionError(f"row {row}: duplicate timestamp {text}")
+    if step < timedelta(0):
+        return IngestionError(f"row {row}: timestamp {text} goes backwards")
+    return IngestionError(f"row {row}: missing hour {(previous + HOUR).isoformat()} "
+                          f"before {text}")
 
 
 def parse_profile_csv(path) -> AnnualProfile:
@@ -313,8 +281,9 @@ def parse_profile_csv(path) -> AnnualProfile:
     strictly increasing with exactly one hour between rows. Gaps and
     duplicates are ingestion errors naming the offending timestamp;
     negative loads or PV availability outside [0, 1] are validation
-    errors naming the row. Of several faults, the earliest row's is
-    raised, a step before the values on the same row.
+    errors naming the row. Each row is checked as it is read, so the first
+    faulty row in file order is reported; its step from the row before is
+    checked before its values.
     """
     path = Path(path)
     if not path.exists():
@@ -322,8 +291,6 @@ def parse_profile_csv(path) -> AnnualProfile:
     stamps: list[datetime] = []
     load: list[float] = []
     pv: list[float] = []
-    numbers: list[int] = []
-    fault = None
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -333,28 +300,37 @@ def parse_profile_csv(path) -> AnnualProfile:
         if tuple(h.strip() for h in header) != PROFILE_COLUMNS:
             raise IngestionError(
                 f"{path}: header {header!r} does not match {list(PROFILE_COLUMNS)!r}")
-        # Rows are parsed here and checked together afterwards; a row that
-        # does not parse ends the read, and an earlier row's fault wins.
-        try:
-            for row_number, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != len(PROFILE_COLUMNS):
-                    raise IngestionError(f"row {row_number}: expected "
-                                         f"{len(PROFILE_COLUMNS)} fields, got {len(row)}")
-                stamps.append(_parse_timestamp(row[0].strip(), row_number))
-                numbers.append(row_number)
+        for row_number, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(PROFILE_COLUMNS):
+                raise IngestionError(f"row {row_number}: expected "
+                                     f"{len(PROFILE_COLUMNS)} fields, got {len(row)}")
+            text = row[0].strip()
+            try:
+                stamp = datetime.fromisoformat(text)
+            except ValueError as exc:
+                raise IngestionError(f"row {row_number}: bad timestamp {text!r}") from exc
+            if stamps:
                 try:
-                    values = float(row[1]), float(row[2])
-                except ValueError as exc:
-                    raise IngestionError(f"row {row_number}: non-numeric value") from exc
-                load.append(values[0])
-                pv.append(values[1])
-        except IngestionError as exc:
-            fault = exc
-    fault = _first_row_fault(stamps, load, pv, numbers) or fault
-    if fault is not None:
-        raise fault
+                    step = stamp - stamps[-1]
+                except TypeError:  # only one of the two has a UTC offset
+                    step = None
+                if step != HOUR:
+                    raise _step_fault(row_number, stamps[-1], stamp, step)
+            try:
+                load_kw, pv_pu = float(row[1]), float(row[2])
+            except ValueError as exc:
+                raise IngestionError(f"row {row_number}: non-numeric value") from exc
+            if not (math.isfinite(load_kw) and math.isfinite(pv_pu)):
+                raise ValidationError(f"row {row_number}: non-finite value")
+            if load_kw < 0:
+                raise ValidationError(f"row {row_number}: load_kw={load_kw} is negative")
+            if not 0.0 <= pv_pu <= 1.0:
+                raise ValidationError(f"row {row_number}: pv_pu={pv_pu} outside [0, 1]")
+            stamps.append(stamp)
+            load.append(load_kw)
+            pv.append(pv_pu)
     if not stamps:
         raise IngestionError(f"{path}: no data rows")
     return AnnualProfile(timestamps=tuple(stamp.isoformat() for stamp in stamps),

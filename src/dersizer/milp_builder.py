@@ -45,6 +45,7 @@ from __future__ import annotations
 import sys
 from dataclasses import fields
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -149,8 +150,10 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
     if cyclic:
         if soc_boundary != "cyclic":
             raise BuildError(f"unknown soc boundary {soc_boundary!r}")
-    elif not 0.0 <= float(soc_boundary) <= 1.0:
-        raise BuildError("fixed soc boundary must be a fraction in [0, 1]")
+    elif (isinstance(soc_boundary, bool) or not isinstance(soc_boundary, Real)
+          or not 0.0 <= soc_boundary <= 1.0):
+        raise BuildError("fixed soc boundary must be a fraction in [0, 1], "
+                         f"got {soc_boundary!r}")
 
     big_m = compute_big_m(scenario_set, catalog)
     m_flow = big_m["m_flow"] if big_m["m_flow"] > 0 else 1.0

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,8 @@ class ReductionConfig:
     feature: str = "load"
 
     def __post_init__(self):
+        if isinstance(self.k, bool) or not isinstance(self.k, Integral):
+            raise ConfigError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ConfigError("k must be at least 1")
         if self.feature not in REDUCTION_FEATURES:

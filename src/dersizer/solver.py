@@ -40,6 +40,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -52,6 +53,11 @@ INT_TOL = 1e-6
 BACKENDS = ("reference", "external", "oracle")
 
 
+def _nonnegative(value) -> bool:
+    """Whether ``value`` is a real number >= 0: not a bool, a string or NaN."""
+    return isinstance(value, Real) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     """Solver controls shared by every backend."""
@@ -61,8 +67,11 @@ class SolveOptions:
     backend: str = "reference"
 
     def __post_init__(self):
-        if self.relative_gap < 0:
-            raise SolverError("relative_gap must be nonnegative")
+        if not _nonnegative(self.relative_gap):
+            raise SolverError(f"relative_gap must be nonnegative, got {self.relative_gap!r}")
+        if self.time_limit is not None and not _nonnegative(self.time_limit):
+            raise SolverError("time_limit must be None or nonnegative seconds, "
+                              f"got {self.time_limit!r}")
         if self.backend not in BACKENDS:
             raise SolverError(f"backend must be one of {BACKENDS}")
 
@@ -191,19 +200,21 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
     form = standardize(instance)
     binaries = instance.binary_indices
     log: list[NodeRecord] = []
+    iterations = 0
 
     def lp(lower, upper, warm=None):
+        nonlocal iterations
         basis = warm.basis if warm is not None else None
         col_status = warm.col_status if warm is not None else None
         try:
-            return simplex_solve(form, instance.objective, lower, upper,
-                                 basis=basis, col_status=col_status,
-                                 deadline=deadline)
+            res = simplex_solve(form, instance.objective, lower, upper,
+                                basis=basis, col_status=col_status, deadline=deadline)
         except NumericalError:
             if warm is None:
                 raise
-            return simplex_solve(form, instance.objective, lower, upper,
-                                 deadline=deadline)
+            res = simplex_solve(form, instance.objective, lower, upper, deadline=deadline)
+        iterations += res.iterations
+        return res
 
     incumbent_obj: float | None = None
     incumbent_x: np.ndarray | None = None
@@ -216,7 +227,6 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
     # (bound, -depth, counter, lower, upper, parent's LpResult as the warm start)
     heap: list[tuple] = [(-np.inf, 0, 0, instance.col_lower, instance.col_upper, None)]
     counter = 0
-    iterations = 0
     nodes = 0
     status = "optimal"
 
@@ -230,7 +240,6 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
             status = "time_limit"
             break
         res = lp(lower, upper, warm)
-        iterations += res.iterations
         if depth:
             nodes += 1
             log.append(NodeRecord(nodes, depth, bound, incumbent_obj,
@@ -255,13 +264,7 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
             try_incumbent(res.objective, res.x)
             continue
         if not depth:  # the root dives for an incumbent before it branches
-            def dive_lp(lower, upper):
-                nonlocal iterations
-                dive = lp(lower, upper, warm=res)
-                iterations += dive.iterations
-                return dive
-
-            dive = _rounding_dive(instance, res.x, dive_lp)
+            dive = _rounding_dive(instance, res.x, lambda lower, upper: lp(lower, upper, res))
             if dive is not None:
                 try_incumbent(dive.objective, dive.x)
         pick = int(binaries[np.argmax(away)])  # most fractional, lowest index on ties

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from numbers import Real
 from pathlib import Path
 
 from .audit import AuditReport, check_solution
@@ -89,6 +90,8 @@ class StudyConfig:
     def __post_init__(self):
         object.__setattr__(self, "profile", Path(self.profile))
         object.__setattr__(self, "output_dir", Path(self.output_dir))
+        if any(isinstance(c, bool) or not isinstance(c, Real) or c % 1 for c in self.cases):
+            raise ConfigError(f"cases must be whole numbers, got {list(self.cases)}")
         cases = tuple(sorted(set(int(c) for c in self.cases)))
         if not cases:
             raise ConfigError("no cases requested")

@@ -50,6 +50,21 @@ def test_parse_backwards_timestamp(tmp_path):
         parse_profile_csv(_write(tmp_path, rows))
 
 
+@pytest.mark.parametrize("first, second, message", [
+    ("2019-03-10T01:00:00-05:00", "2019-03-10T03:00:00-04:00", None),
+    ("2019-11-03T01:00:00-04:00", "2019-11-03T01:00:00-05:00", None),
+    ("2019-11-03T01:00:00-05:00", "2019-11-03T02:00:00-04:00",
+     "row 3: duplicate timestamp 2019-11-03T02:00:00-04:00"),
+])
+def test_parse_steps_between_utc_offsets_in_utc(tmp_path, first, second, message):
+    path = _write(tmp_path, [f"{first},100,0.0", f"{second},100,0.0"])
+    if message is not None:
+        with pytest.raises(IngestionError, match=message):
+            parse_profile_csv(path)
+    else:
+        assert parse_profile_csv(path).timestamps == (first, second)
+
+
 def test_parse_header_mismatch(tmp_path):
     path = _write(tmp_path, ["2019-01-01T00:00:00,1,0"], header="time,load,pv")
     with pytest.raises(IngestionError, match="header"):

@@ -55,8 +55,9 @@ def test_config_parsing_and_validation(tmp_path, small_profile_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         StudyConfig.from_file(bad)
-    with pytest.raises(ConfigError):
-        StudyConfig.from_dict({"profile": str(small_profile_path), "cases": [7]})
+    for cases in ([7], [2.7], [True]):
+        with pytest.raises(ConfigError):
+            StudyConfig.from_dict({"profile": str(small_profile_path), "cases": cases})
     with pytest.raises(ConfigError):
         StudyConfig.from_dict({"profile": str(small_profile_path),
                                "unknown_key": 1})
@@ -233,6 +234,13 @@ def test_cli_propagates_solve_failure(tmp_path, small_profile_path):
     ({"tariff": {"energy_price": [0.1] * 12}}, 1),
     ({"soc_boundary": "monday"}, 1),
     ({"soc_boundary": 1.5}, 1),
+    ({"soc_boundary": None}, 1),
+    ({"soc_boundary": [0.5]}, 1),
+    ({"soc_boundary": True}, 1),
+    ({"reduction": {"k": 2.5}}, 3),
+    ({"solve": {"time_limit": "10"}}, 3),
+    ({"solve": {"time_limit": -1}}, 3),
+    ({"solve": {"relative_gap": float("nan")}}, 3),
     ({"solve": {"backend": "highs"}}, 3),
     ({"solve": {"relative_gap": -1}}, 3),
 ])
