@@ -234,6 +234,8 @@ def test_cli_propagates_solve_failure(tmp_path, small_profile_path):
     ({"tariff": {"energy_price": [0.1] * 12}}, 1),
     ({"soc_boundary": "monday"}, 1),
     ({"soc_boundary": 1.5}, 1),
+    ({"solve": {"backend": "highs"}}, 3),
+    ({"solve": {"relative_gap": -1}}, 3),
     ({"soc_boundary": None}, 1),
     ({"soc_boundary": [0.5]}, 1),
     ({"soc_boundary": True}, 1),
@@ -241,8 +243,6 @@ def test_cli_propagates_solve_failure(tmp_path, small_profile_path):
     ({"solve": {"time_limit": "10"}}, 3),
     ({"solve": {"time_limit": -1}}, 3),
     ({"solve": {"relative_gap": float("nan")}}, 3),
-    ({"solve": {"backend": "highs"}}, 3),
-    ({"solve": {"relative_gap": -1}}, 3),
 ])
 def test_cli_validate_exits_as_run_does(tmp_path, small_profile_path, overrides, code):
     config_path = _config_file(tmp_path, small_profile_path, cases=[0], **overrides)
