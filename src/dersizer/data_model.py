@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from importlib import resources
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,18 @@ from .errors import IngestionError, ValidationError
 PROFILE_COLUMNS = ("timestamp", "load_kw", "pv_pu")
 
 PACKAGED_PROFILE = "synthetic_year.csv"
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number: not a bool, a string or NaN."""
+    return isinstance(value, Real) and not isinstance(value, bool) and not math.isnan(value)
+
+
+def check_reals(kind: str, values: dict) -> None:
+    """Raise ``ValidationError`` naming the first of ``values`` not a real number."""
+    for name, value in values.items():
+        if not is_real(value):
+            raise ValidationError(f"{kind} {name} must be a real number, got {value!r}")
 
 
 def _as_series(values, name: str) -> np.ndarray:
@@ -134,6 +147,7 @@ class DeviceCatalog:
     alpha_max: float = 0.9
 
     def __post_init__(self):
+        check_reals("catalog", vars(self))
         for name in ("c_pv", "c_es", "c_ic", "c_inv", "c_con", "c_deg",
                      "voll_cl", "voll_nl", "pv_max", "es_max"):
             if getattr(self, name) < 0:
@@ -163,7 +177,11 @@ class TariffPlan:
     peak_cap: float = 1000.0       # kW
 
     def __post_init__(self):
+        prices = np.ravel(np.array(self.energy_price, dtype=object))
+        if not all(map(is_real, prices)):
+            raise ValidationError("tariff energy_price must hold real numbers")
         object.__setattr__(self, "energy_price", _as_series(self.energy_price, "energy_price"))
+        check_reals("tariff", {"demand_price": self.demand_price, "peak_cap": self.peak_cap})
         if np.any(self.energy_price < 0) or self.demand_price < 0:
             raise ValidationError("tariff prices must be nonnegative")
         if self.peak_cap <= 0:
@@ -204,6 +222,7 @@ class LoadSplitSpec:
     dc_fraction_of_noncritical: float = 0.5
 
     def __post_init__(self):
+        check_reals("split", vars(self))
         for name in ("critical_fraction", "dc_fraction_of_critical",
                      "dc_fraction_of_noncritical"):
             value = getattr(self, name)

@@ -13,11 +13,17 @@ Three interchangeable backends sit behind :func:`solve_milp`:
     gap at the root. Deterministic.
 ``external``
     scipy's HiGHS. HiGHS solves the LP relaxation, and the rounding dive
-    runs from its point as one HiGHS LP. When the dive's point is within
-    the gap of the relaxation's bound, it is the answer, with no nodes;
-    otherwise, or when the relaxation does not solve, HiGHS's ``milp``
-    searches. Much faster on full-size instances; same instance, same
-    contract.
+    runs from its point as one LP on the same HiGHS model: only the
+    binaries' bounds change, so HiGHS's dual simplex re-solves from the
+    relaxation's basis instead of from scratch. When the dive's point is
+    within the gap of the relaxation's bound, it is the answer, with no
+    nodes; otherwise, or when the relaxation does not solve, HiGHS's
+    ``milp`` searches. Much faster on full-size instances; same instance,
+    same contract. The model is held through
+    ``scipy.optimize._highspy._core``, the binding scipy (1.15 on) ships
+    for its own ``milp`` and ``linprog``. It is a private module, but the
+    public ``milp`` builds a new model per call, so it offers no way to
+    keep a basis between the two LPs.
 ``oracle``
     Brute-force enumeration of every binary assignment (hard-capped at 16
     binaries), each evaluated with an independently implemented LP solver
@@ -40,10 +46,10 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
+from .data_model import is_real
 from .errors import NumericalError, OracleGuardError, SolverError
 from .milp_instance import MilpInstance
 from .simplex import simplex_solve, standardize
@@ -55,7 +61,7 @@ BACKENDS = ("reference", "external", "oracle")
 
 def _nonnegative(value) -> bool:
     """Whether ``value`` is a real number >= 0: not a bool, a string or NaN."""
-    return isinstance(value, Real) and not isinstance(value, bool) and value >= 0
+    return is_real(value) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -338,55 +344,95 @@ def oracle_enumerate(instance: MilpInstance) -> SolveResult:
 # ---------------------------------------------------------------------------
 # External backend (scipy / HiGHS)
 
-# scipy ``milp`` status codes for the dive LP; any other code drops the dive.
-_HIGHS_STATUS = {0: "optimal", 1: "time_limit", 2: "infeasible", 3: "unbounded"}
+
+def _highs_model(instance: MilpInstance, highs):
+    """A HiGHS model of the instance's LP relaxation, presolve on, silent.
+
+    ``highs`` is scipy's binding module; the model is filled as scipy's own
+    ``milp`` wrapper fills one.
+    """
+    matrix = instance.matrix.tocsc()
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = instance.n_cols
+    lp.num_row_ = lp.a_matrix_.num_row_ = instance.n_rows
+    lp.col_cost_ = instance.objective
+    lp.col_lower_, lp.col_upper_ = instance.col_lower, instance.col_upper
+    lp.row_lower_, lp.row_upper_ = instance.row_bounds()
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = matrix.indptr
+    lp.a_matrix_.index_ = matrix.indices
+    lp.a_matrix_.value_ = matrix.data
+    model = highs._Highs()
+    model.setOptionValue("output_flag", False)
+    model.setOptionValue("presolve", "on")
+    model.passModel(lp)
+    return model
 
 
 def solve_external(instance: MilpInstance, options: SolveOptions) -> SolveResult:
     """Solve with scipy's HiGHS behind the common result contract.
 
     HiGHS solves the LP relaxation first, and the rounding dive runs from
-    its point as one HiGHS LP. A dive point within the gap of the
-    relaxation's bound is the answer, with no nodes. Otherwise,
-    or when the relaxation does not solve, HiGHS's ``milp`` searches.
-    ``time_limit`` is one deadline over every HiGHS call.
+    its point as one LP on the same HiGHS model, re-solved from the
+    relaxation's basis. A dive point within the gap of the relaxation's
+    bound is the answer, with no nodes. Otherwise, or when the relaxation
+    does not solve, HiGHS's ``milp`` searches. ``time_limit`` is one
+    deadline over every HiGHS call.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.optimize._highspy import _core as highs
 
     deadline = (None if options.time_limit is None
                 else time.perf_counter() + options.time_limit)
-    # CSC, the layout HiGHS takes, so scipy does not convert it on every call.
-    constraints = LinearConstraint(instance.matrix.tocsc(), *instance.row_bounds())
 
-    def run(objective, lower=instance.col_lower, upper=instance.col_upper,
-            integrality=None):
-        opts = {"presolve": True, "mip_rel_gap": options.relative_gap, "disp": False}
+    def time_left():
+        return max(0.0, deadline - time.perf_counter())
+
+    model = _highs_model(instance, highs)
+
+    def lp_run():
+        """The model's next run: ``optimal`` with its point, or ``failed``."""
         if deadline is not None:
-            opts["time_limit"] = max(0.0, deadline - time.perf_counter())
-        return milp(c=objective, constraints=constraints, integrality=integrality,
-                    bounds=Bounds(lower, upper), options=opts)
+            # HiGHS counts time_limit over every run of one model.
+            model.setOptionValue("time_limit", model.getRunTime() + time_left())
+        model.run()
+        if model.getModelStatus() != highs.HighsModelStatus.kOptimal:
+            return SolveResult("failed", None, None)
+        return SolveResult("optimal", model.getInfo().objective_function_value,
+                           np.array(model.getSolution().col_value))
 
     def dive_lp(lower, upper):
-        res = run(instance.objective, lower, upper)
-        return SolveResult(_HIGHS_STATUS.get(res.status, "failed"),
-                           None if res.fun is None else float(res.fun),
-                           None if res.x is None else np.asarray(res.x))
+        # The dive's bounds differ from the instance's only on the binaries.
+        binaries = instance.binary_indices
+        model.changeColsBounds(len(binaries), binaries, lower[binaries], upper[binaries])
+        return lp_run()
 
-    relaxation = run(instance.objective)
-    if relaxation.status == 0:
-        dive = _rounding_dive(instance, np.asarray(relaxation.x), dive_lp)
+    relaxation = lp_run()
+    if relaxation.ok:
+        dive = _rounding_dive(instance, relaxation.x, dive_lp)
         if dive is not None:
-            gap = _gap(dive.objective, float(relaxation.fun))
+            gap = _gap(dive.objective, relaxation.objective)
             if gap <= options.relative_gap:
                 return SolveResult("optimal" if gap <= 1e-12 else "gap_optimal",
                                    dive.objective, dive.x, achieved_gap=gap)
 
+    # CSC, the layout HiGHS takes, so scipy does not convert it on every call.
+    constraints = LinearConstraint(instance.matrix.tocsc(), *instance.row_bounds())
+    bounds = Bounds(instance.col_lower, instance.col_upper)
     integrality = instance.col_binary.astype(int)
-    res = run(instance.objective, integrality=integrality)
+
+    def run(objective):
+        opts = {"presolve": True, "mip_rel_gap": options.relative_gap, "disp": False}
+        if deadline is not None:
+            opts["time_limit"] = time_left()
+        return milp(c=objective, constraints=constraints, integrality=integrality,
+                    bounds=bounds, options=opts)
+
+    res = run(instance.objective)
     if res.status == 2:
         # HiGHS reports some feasible unbounded LPs as infeasible; a solve
         # with a zero objective tells the two apart.
-        probe = run(np.zeros(instance.n_cols), integrality=integrality)
+        probe = run(np.zeros(instance.n_cols))
         if probe.status not in (0, 1) or probe.x is None:
             return SolveResult("infeasible", None, None, achieved_gap=np.inf)
     if res.status in (2, 3):

@@ -20,8 +20,8 @@ from pathlib import Path
 
 from .audit import AuditReport, check_solution
 from .data_model import (AnnualProfile, DeviceCatalog, LoadSplitSpec, ScenarioSet,
-                         TariffPlan, packaged_profile_path, parse_profile_csv,
-                         validate_scenario_set)
+                         TariffPlan, check_reals, packaged_profile_path,
+                         parse_profile_csv, validate_scenario_set)
 from .errors import (ConfigError, DersizerError, IngestionError, SolverError,
                      ValidationError)
 from .finance import CostBreakdown
@@ -117,6 +117,7 @@ class StudyConfig:
             output_dir = base / out_raw if not Path(out_raw).is_absolute() \
                 else Path(out_raw)
             weights = _config_block(raw, "weights", WEIGHT_KEYS)
+            check_reals("weights", weights)
             return cls(
                 profile=profile_path,
                 output_dir=output_dir,

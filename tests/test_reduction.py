@@ -129,10 +129,11 @@ def test_bad_config_values():
 
 
 def test_import_leaves_scipy_spatial_unloaded():
-    # Only a reduction needs cdist, so importing the package does not pay for
-    # scipy.spatial.
+    # Only a reduction needs cdist, and only a solve needs scipy.optimize
+    # (HiGHS and its binding), so importing the package pays for neither.
     env = {**os.environ, "PYTHONPATH": str(Path(dersizer.__file__).parents[1])}
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, dersizer; print('scipy.spatial' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout.strip()
-    assert loaded == "False"
+    code = ("import sys, dersizer\n"
+            "print([name in sys.modules for name in ('scipy.spatial', 'scipy.optimize')])")
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout.strip()
+    assert loaded == "[False, False]"

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from dersizer import (CaseSpec, LoadSplitSpec, ReductionConfig, SolveOptions,
                       oracle_enumerate, reduce_scenarios, solve_lp, solve_milp)
 from dersizer.errors import NumericalError, OracleGuardError, SolverError
 from dersizer.milp_builder import variable_blocks
-from dersizer.milp_instance import GE
+from dersizer.milp_instance import GE, LE
 
 from conftest import dense_instance, tiny_sizing_inputs
 
@@ -221,6 +222,13 @@ def case3_k2(days_k2, table_catalog, default_tariff):
     return build_model(days_k2, table_catalog, default_tariff, CaseSpec.from_number(3))
 
 
+@pytest.fixture(scope="module")
+def case2_k3(packaged_profile, table_catalog, default_tariff):
+    # Its dive ends 2.9e-8 above the relaxation, so at gap 0 milp searches.
+    days = reduce_scenarios(packaged_profile, ReductionConfig(k=3), LoadSplitSpec())
+    return build_model(days, table_catalog, default_tariff, CaseSpec.from_number(2))
+
+
 def test_reference_cold_root_takes_the_dual_phase(case3_k2):
     # Every cost is nonnegative at a finite lower bound, so the logical
     # basis is dual feasible. With the costs perturbed once, the dual phase
@@ -342,22 +350,40 @@ def test_warm_start_other_errors_propagate(monkeypatch):
         solve_milp(inst, SolveOptions(relative_gap=1e-6, backend="reference"))
 
 
-def test_external_status_with_a_point_is_not_optimal(monkeypatch):
-    import scipy.optimize
-    from scipy.optimize import OptimizeResult
-    inst, _ = _tiny_instance(0)
+def _record_highs_runs(monkeypatch, after_run=None):
+    """Keep the column bounds of every run of the external backend's HiGHS model.
 
-    def failed_milp(**kwargs):
-        return OptimizeResult(status=4, message="injected solve error",
-                              x=np.zeros(inst.n_cols), fun=0.0, mip_gap=0.0,
-                              mip_dual_bound=0.0, mip_node_count=1, success=False)
+    ``after_run(model)`` is called after each run; setting ``model.status``
+    there makes the model report that status instead of its own.
+    """
+    real = solver._highs_model
+    runs = []
 
-    monkeypatch.setattr(scipy.optimize, "milp", failed_milp)
-    with pytest.raises(SolverError, match="injected solve error"):
-        solve_milp(inst, SolveOptions(backend="external"))
+    class Recording:
+        status = None
+
+        def __init__(self, model):
+            self.model = model
+
+        def __getattr__(self, name):
+            return getattr(self.model, name)
+
+        def run(self):
+            lp = self.model.getLp()
+            runs.append((np.array(lp.col_lower_), np.array(lp.col_upper_)))
+            outcome = self.model.run()
+            if after_run is not None:
+                after_run(self)
+            return outcome
+
+        def getModelStatus(self):
+            return self.model.getModelStatus() if self.status is None else self.status
+
+    monkeypatch.setattr(solver, "_highs_model", lambda *args: Recording(real(*args)))
+    return runs
 
 
-def _count_highs_calls(monkeypatch):
+def _count_milp_calls(monkeypatch):
     import scipy.optimize
     real = scipy.optimize.milp
     calls = []
@@ -368,6 +394,49 @@ def _count_highs_calls(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "milp", milp)
     return calls
+
+
+def _direct_milp(inst, gap):
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    return milp(c=inst.objective,
+                constraints=LinearConstraint(inst.matrix, *inst.row_bounds()),
+                integrality=inst.col_binary.astype(int),
+                bounds=Bounds(inst.col_lower, inst.col_upper),
+                options={"presolve": True, "mip_rel_gap": gap, "disp": False})
+
+
+def _assert_is_the_direct_milp(res, direct):
+    assert res.objective == direct.fun
+    np.testing.assert_array_equal(res.x, direct.x)
+    assert res.nodes == direct.mip_node_count
+    assert res.achieved_gap == direct.mip_gap
+
+
+def _rounding_misses():
+    """A hand-built instance whose rounded relaxation is feasible but 9.2 too dear.
+
+    min -5a - 4b + 10s with 6a + 4b - s <= 9: the relaxation takes b = 1 and
+    a = 5/6, the dive rounds a up and pays s = 1, and a = 1, b = 0 gives -5.
+    """
+    return dense_instance([-5.0, -4.0, 10.0], [0.0, 0.0, 0.0], [1.0, 1.0, 10.0],
+                          [[6.0, 4.0, -1.0]], [LE], [9.0], binary=[True, True, False])
+
+
+def test_external_status_with_a_point_is_not_optimal(monkeypatch):
+    import scipy.optimize
+    from scipy.optimize import OptimizeResult
+    inst = _rounding_misses()         # its dive misses gap 0, so milp runs
+    runs = _record_highs_runs(monkeypatch)
+
+    def failed_milp(**kwargs):
+        return OptimizeResult(status=4, message="injected solve error",
+                              x=np.zeros(inst.n_cols), fun=0.0, mip_gap=0.0,
+                              mip_dual_bound=0.0, mip_node_count=1, success=False)
+
+    monkeypatch.setattr(scipy.optimize, "milp", failed_milp)
+    with pytest.raises(SolverError, match="injected solve error"):
+        solve_milp(inst, SolveOptions(relative_gap=0.0, backend="external"))
+    assert len(runs) == 2             # the relaxation and the dive ran first
 
 
 def test_external_returns_the_dive_point_when_it_closes_the_gap(case3_k2, table_catalog,
@@ -384,31 +453,68 @@ def test_external_returns_the_dive_point_when_it_closes_the_gap(case3_k2, table_
 
 
 def test_external_dive_that_closes_makes_two_highs_calls(case3_k2, monkeypatch):
-    calls = _count_highs_calls(monkeypatch)
+    runs = _record_highs_runs(monkeypatch)
+    calls = _count_milp_calls(monkeypatch)
     res = solve_milp(case3_k2, SolveOptions(relative_gap=0.0, backend="external"))
     assert res.status == "optimal"
-    # The relaxation, then the dive's one fixing.
-    assert [call["integrality"] for call in calls] == [None, None]
+    # The relaxation, then one dive run on the same model with every binary
+    # fixed and every other bound as the instance has it; milp never runs.
+    assert len(runs) == 2 and calls == []
+    (lower, upper), (fixed_lower, fixed_upper) = runs
+    np.testing.assert_array_equal(lower, case3_k2.col_lower)
+    np.testing.assert_array_equal(upper, case3_k2.col_upper)
     binaries = case3_k2.binary_indices
-    fixed = calls[1]["bounds"]
-    assert np.array_equal(fixed.lb[binaries], fixed.ub[binaries])
+    assert np.array_equal(fixed_lower[binaries], fixed_upper[binaries])
+    others = ~case3_k2.col_binary
+    np.testing.assert_array_equal(fixed_lower[others], case3_k2.col_lower[others])
+    np.testing.assert_array_equal(fixed_upper[others], case3_k2.col_upper[others])
 
 
-def test_external_falls_back_to_milp_when_the_dive_misses_the_gap(monkeypatch):
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    calls = _count_highs_calls(monkeypatch)
-    for seed in (18, 22, 28, 34):     # the tiny seeds whose dive misses gap 0
-        inst, _ = _tiny_instance(seed)
-        direct = milp(c=inst.objective,
-                      constraints=LinearConstraint(inst.matrix, *inst.row_bounds()),
-                      integrality=inst.col_binary.astype(int),
-                      bounds=Bounds(inst.col_lower, inst.col_upper),
-                      options={"presolve": True, "mip_rel_gap": 0.0, "disp": False})
+def test_external_falls_back_to_milp_when_the_dive_misses_the_gap(case2_k3, monkeypatch):
+    runs = _record_highs_runs(monkeypatch)
+    calls = _count_milp_calls(monkeypatch)
+    for inst in (_rounding_misses(), case2_k3):   # dives that miss gap 0
+        direct = _direct_milp(inst, 0.0)
+        runs.clear()
         calls.clear()
         res = solve_milp(inst, SolveOptions(relative_gap=0.0, backend="external"))
-        # The relaxation, the dive LP, then milp.
-        assert [call["integrality"] is None for call in calls] == [True, True, False]
-        assert res.objective == direct.fun
-        np.testing.assert_array_equal(res.x, direct.x)
-        assert res.nodes == direct.mip_node_count
-        assert res.achieved_gap == direct.mip_gap
+        # The relaxation and the dive LP on one model, then one milp call.
+        assert len(runs) == 2
+        assert [call["integrality"] is None for call in calls] == [False]
+        _assert_is_the_direct_milp(res, direct)
+
+
+def test_external_dive_gets_the_time_left_not_a_fresh_limit(case3_k2, monkeypatch):
+    # HiGHS counts time_limit over every run of one model. Once the
+    # relaxation has run, leave 0.8 of its run time: several times what the
+    # dive needs, but less than the clock HiGHS has already counted.
+    clock = [0.0]
+    monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+
+    def after_run(model):
+        if clock[0] == 0.0:
+            clock[0] = 60.0 - 0.8 * model.getRunTime()
+
+    runs = _record_highs_runs(monkeypatch, after_run)
+    calls = _count_milp_calls(monkeypatch)
+    res = solve_milp(case3_k2, SolveOptions(relative_gap=0.0, time_limit=60.0,
+                                            backend="external"))
+    assert res.status == "optimal" and res.nodes == 0
+    assert len(runs) == 2 and calls == []
+
+
+@pytest.mark.parametrize("status", ["kTimeLimit", "kIterationLimit", "kInfeasible",
+                                    "kSolveError"])
+def test_external_dive_that_is_not_optimal_falls_back_to_milp(monkeypatch, status):
+    from scipy.optimize._highspy import _core as highs
+    inst, _ = _tiny_instance(0)       # its dive closes gap 0
+
+    def after_run(model):
+        if len(runs) == 2:
+            model.status = getattr(highs.HighsModelStatus, status)
+
+    runs = _record_highs_runs(monkeypatch, after_run)
+    calls = _count_milp_calls(monkeypatch)
+    res = solve_milp(inst, SolveOptions(relative_gap=0.0, backend="external"))
+    assert len(calls) == 1
+    _assert_is_the_direct_milp(res, _direct_milp(inst, 0.0))

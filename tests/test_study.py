@@ -243,6 +243,13 @@ def test_cli_propagates_solve_failure(tmp_path, small_profile_path):
     ({"solve": {"time_limit": "10"}}, 3),
     ({"solve": {"time_limit": -1}}, 3),
     ({"solve": {"relative_gap": float("nan")}}, 3),
+    ({"catalog": {"eta_ic": True}}, 3),
+    ({"catalog": {"c_pv": float("nan")}}, 3),
+    ({"tariff": {"energy_price": [0.1] * 24, "demand_price": float("nan")}}, 3),
+    ({"tariff": {"energy_price": [0.1] * 23 + [True]}}, 3),
+    ({"split": {"critical_fraction": True}}, 3),
+    ({"weights": {"annual_demand_weight": "12"}}, 3),
+    ({"weights": {"annual_day_weight": float("nan")}}, 3),
 ])
 def test_cli_validate_exits_as_run_does(tmp_path, small_profile_path, overrides, code):
     config_path = _config_file(tmp_path, small_profile_path, cases=[0], **overrides)
