@@ -40,10 +40,10 @@ def is_real(value) -> bool:
 
 
 def check_reals(kind: str, values: dict) -> None:
-    """Raise ``ValidationError`` naming the first of ``values`` not a real number."""
+    """Raise ``ValidationError`` naming the first of ``values`` not a finite real number."""
     for name, value in values.items():
-        if not is_real(value):
-            raise ValidationError(f"{kind} {name} must be a real number, got {value!r}")
+        if not (is_real(value) and math.isfinite(value)):
+            raise ValidationError(f"{kind} {name} must be a finite real number, got {value!r}")
 
 
 def _as_series(values, name: str) -> np.ndarray:
@@ -181,11 +181,11 @@ class TariffPlan:
         if not all(map(is_real, prices)):
             raise ValidationError("tariff energy_price must hold real numbers")
         object.__setattr__(self, "energy_price", _as_series(self.energy_price, "energy_price"))
-        check_reals("tariff", {"demand_price": self.demand_price, "peak_cap": self.peak_cap})
+        check_reals("tariff", {"demand_price": self.demand_price})
         if np.any(self.energy_price < 0) or self.demand_price < 0:
             raise ValidationError("tariff prices must be nonnegative")
-        if self.peak_cap <= 0:
-            raise ValidationError("tariff peak_cap must be positive")
+        if not (is_real(self.peak_cap) and self.peak_cap > 0):  # inf: no cap
+            raise ValidationError(f"tariff peak_cap must be positive, got {self.peak_cap!r}")
 
     @property
     def intervals(self) -> int:

@@ -12,24 +12,22 @@ Three interchangeable backends sit behind :func:`solve_milp`:
     for (the builder's hints) or else rounded, which usually closes the
     gap at the root. Deterministic.
 ``external``
-    scipy's HiGHS. HiGHS solves the LP relaxation, and the rounding dive
-    runs from its point as one LP on the same HiGHS model: only the
-    binaries' bounds change, so HiGHS's dual simplex re-solves from the
-    relaxation's basis instead of from scratch. When the dive's point is
-    within the gap of the relaxation's bound, it is the answer, with no
-    nodes; otherwise, or when the relaxation does not solve, HiGHS's
-    ``milp`` searches. Much faster on full-size instances; same instance,
-    same contract. The model is held through
-    ``scipy.optimize._highspy._core``, the binding scipy (1.15 on) ships
-    for its own ``milp`` and ``linprog``. It is a private module, but the
-    public ``milp`` builds a new model per call, so it offers no way to
-    keep a basis between the two LPs.
+    scipy's HiGHS, every run on one model. HiGHS solves the LP relaxation,
+    and the rounding dive runs from its point as one LP: only the binaries'
+    bounds change, so HiGHS's dual simplex re-solves from the relaxation's
+    basis. A dive point within the gap of the relaxation's bound is the
+    answer, with no nodes; otherwise, or when the relaxation does not
+    solve, the binaries get back their bounds, become integer, and HiGHS's
+    MIP search runs on the same model. The model is held through
+    ``scipy.optimize._highspy._core``, the private binding behind scipy's
+    (1.15 on) ``milp``, which builds a new model per call.
 ``oracle``
     Brute-force enumeration of every binary assignment (hard-capped at 16
-    binaries), each evaluated with an independently implemented LP solver
-    (scipy's HiGHS ``milp`` with no integrality). Exact up to LP tolerance
-    and deliberately free of any code shared with the reference path, so
-    the two can certify each other.
+    binaries), each an LP on one HiGHS model of its own that only the
+    binaries' bounds change. Exact up to LP tolerance and free of any code
+    shared with the other two backends, so each pair can certify each other:
+    the oracle fills its model through ``HighsLp`` attributes and the
+    external backend from buffers, apart on purpose.
 
 Each solve is single-threaded and deterministic; distinct instances may
 be solved concurrently. The reference backend keeps one ``NodeRecord``
@@ -304,53 +302,19 @@ ORACLE_MAX_BINARIES = 16
 def oracle_enumerate(instance: MilpInstance) -> SolveResult:
     """Certify the optimum by trying every 0/1 assignment of the binaries.
 
-    Each assignment fixes the binaries by bounds and solves the remaining
-    LP with scipy's HiGHS ``milp`` (no integrality), over one constraint
-    object built per instance. The best feasible assignment wins (first one
-    found on exact ties, so the result is deterministic). Refuses instances
-    with more than 16 binary columns.
+    Each assignment is an LP run on one HiGHS model, presolve off, with the
+    binaries fixed by bounds. Of the assignments within 1e-9 relative of the
+    best objective, the lowest bit pattern wins and runs once more for its
+    point. Only ``kInfeasible`` marks an assignment infeasible; any other
+    status but ``kOptimal`` raises ``SolverError``. Refuses over 16 binaries.
     """
-    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.optimize._highspy import _core as highs
 
     binaries = instance.binary_indices
     if len(binaries) > ORACLE_MAX_BINARIES:
         raise OracleGuardError(
             f"oracle guard: {len(binaries)} binary columns exceed the "
             f"hard limit of {ORACLE_MAX_BINARIES}")
-    # CSC, the layout HiGHS takes, so scipy does not convert it on every call.
-    constraints = LinearConstraint(instance.matrix.tocsc(), *instance.row_bounds())
-    lower, upper = instance.col_lower.copy(), instance.col_upper.copy()
-    # Row ``bits`` of ``assignments`` gives binary ``pos`` the value of bit ``pos``.
-    assignments = ((np.arange(2 ** len(binaries))[:, None] >> np.arange(len(binaries)))
-                   & 1).astype(float)
-    fits = np.all((assignments >= instance.col_lower[binaries] - 1e-12)
-                  & (assignments <= instance.col_upper[binaries] + 1e-12), axis=1)
-
-    best_obj = None
-    best_x = None
-    for values in assignments[fits]:
-        lower[binaries] = upper[binaries] = values
-        res = milp(instance.objective, constraints=constraints,
-                   bounds=Bounds(lower, upper))
-        if res.status == 0 and (best_obj is None or res.fun < best_obj - 1e-12):
-            best_obj = float(res.fun)
-            best_x = np.asarray(res.x)
-    n_lp = int(np.count_nonzero(fits))
-    if best_obj is None:
-        return SolveResult("infeasible", None, None, achieved_gap=np.inf, nodes=n_lp)
-    return SolveResult("optimal", best_obj, best_x, achieved_gap=0.0, nodes=n_lp)
-
-
-# ---------------------------------------------------------------------------
-# External backend (scipy / HiGHS)
-
-
-def _highs_model(instance: MilpInstance, highs):
-    """A HiGHS model of the instance's LP relaxation, presolve on, silent.
-
-    ``highs`` is scipy's binding module; the model is filled as scipy's own
-    ``milp`` wrapper fills one.
-    """
     matrix = instance.matrix.tocsc()
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = instance.n_cols
@@ -364,94 +328,128 @@ def _highs_model(instance: MilpInstance, highs):
     lp.a_matrix_.value_ = matrix.data
     model = highs._Highs()
     model.setOptionValue("output_flag", False)
-    model.setOptionValue("presolve", "on")
+    model.setOptionValue("presolve", "off")
     model.passModel(lp)
+
+    def objective(values):
+        """The LP's objective with the binaries at ``values``; inf if infeasible."""
+        model.changeColsBounds(len(binaries), binaries, values, values)
+        model.run()
+        status = model.getModelStatus()
+        if status == highs.HighsModelStatus.kInfeasible:
+            return np.inf
+        if status != highs.HighsModelStatus.kOptimal:
+            raise SolverError(f"oracle LP failed: HiGHS status "
+                              f"{model.modelStatusToString(status)!r}")
+        return model.getInfo().objective_function_value
+
+    # Row ``bits`` of ``assignments`` gives binary ``pos`` the value of bit ``pos``.
+    assignments = ((np.arange(2 ** len(binaries))[:, None] >> np.arange(len(binaries)))
+                   & 1).astype(float)
+    fits = np.all((assignments >= instance.col_lower[binaries] - 1e-12)
+                  & (assignments <= instance.col_upper[binaries] + 1e-12), axis=1)
+    tried = assignments[fits]
+    objectives = np.array([objective(values) for values in tried])
+    if not np.isfinite(objectives).any():
+        return SolveResult("infeasible", None, None, achieved_gap=np.inf, nodes=len(tried))
+    best = objectives.min()
+    pick = np.flatnonzero(objectives <= best + 1e-9 * max(1.0, abs(best)))[0]
+    return SolveResult("optimal", objective(tried[pick]),
+                       np.array(model.getSolution().col_value), nodes=len(tried))
+
+
+# ---------------------------------------------------------------------------
+# External backend (scipy / HiGHS)
+
+
+def _highs_model(instance: MilpInstance, highs):
+    """A silent HiGHS model of the LP relaxation, presolve on, filled from buffers
+    through the positional ``passModel`` overload; ``highs`` is scipy's binding."""
+    matrix = instance.matrix.tocsc()
+    model = highs._Highs()
+    model.setOptionValue("output_flag", False)
+    model.setOptionValue("presolve", "on")
+    model.passModel(instance.n_cols, instance.n_rows, matrix.nnz,
+                    highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+                    instance.objective, instance.col_lower, instance.col_upper,
+                    *instance.row_bounds(), matrix.indptr, matrix.indices, matrix.data,
+                    np.zeros(instance.n_cols, np.int32))
     return model
 
 
 def solve_external(instance: MilpInstance, options: SolveOptions) -> SolveResult:
     """Solve with scipy's HiGHS behind the common result contract.
 
-    HiGHS solves the LP relaxation first, and the rounding dive runs from
-    its point as one LP on the same HiGHS model, re-solved from the
-    relaxation's basis. A dive point within the gap of the relaxation's
-    bound is the answer, with no nodes. Otherwise, or when the relaxation
-    does not solve, HiGHS's ``milp`` searches. ``time_limit`` is one
-    deadline over every HiGHS call.
+    The relaxation, the dive LP and, when the dive misses the gap, HiGHS's
+    MIP search all run on one HiGHS model, the binaries made integer for
+    the search. ``time_limit`` is one deadline over every run.
     """
-    from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.optimize._highspy import _core as highs
 
     deadline = (None if options.time_limit is None
                 else time.perf_counter() + options.time_limit)
-
-    def time_left():
-        return max(0.0, deadline - time.perf_counter())
-
     model = _highs_model(instance, highs)
+    binaries = instance.binary_indices
+    optimal = highs.HighsModelStatus.kOptimal
+    limits = (highs.HighsModelStatus.kTimeLimit, highs.HighsModelStatus.kIterationLimit)
 
-    def lp_run():
-        """The model's next run: ``optimal`` with its point, or ``failed``."""
+    def run():
+        """The model's next run, held to the time that remains: its status."""
         if deadline is not None:
             # HiGHS counts time_limit over every run of one model.
-            model.setOptionValue("time_limit", model.getRunTime() + time_left())
+            model.setOptionValue("time_limit", model.getRunTime()
+                                 + max(0.0, deadline - time.perf_counter()))
         model.run()
-        if model.getModelStatus() != highs.HighsModelStatus.kOptimal:
+        return model.getModelStatus()
+
+    def lp_run(lower, upper):
+        """An LP run with these bounds, which differ from the instance's only
+        on the binaries: ``optimal`` with its point, or ``failed``."""
+        model.changeColsBounds(len(binaries), binaries, lower[binaries], upper[binaries])
+        if run() != optimal:
             return SolveResult("failed", None, None)
         return SolveResult("optimal", model.getInfo().objective_function_value,
                            np.array(model.getSolution().col_value))
 
-    def dive_lp(lower, upper):
-        # The dive's bounds differ from the instance's only on the binaries.
-        binaries = instance.binary_indices
-        model.changeColsBounds(len(binaries), binaries, lower[binaries], upper[binaries])
-        return lp_run()
-
-    relaxation = lp_run()
+    relaxation = lp_run(instance.col_lower, instance.col_upper)
     if relaxation.ok:
-        dive = _rounding_dive(instance, relaxation.x, dive_lp)
+        dive = _rounding_dive(instance, relaxation.x, lp_run)
         if dive is not None:
             gap = _gap(dive.objective, relaxation.objective)
             if gap <= options.relative_gap:
                 return SolveResult("optimal" if gap <= 1e-12 else "gap_optimal",
                                    dive.objective, dive.x, achieved_gap=gap)
 
-    # CSC, the layout HiGHS takes, so scipy does not convert it on every call.
-    constraints = LinearConstraint(instance.matrix.tocsc(), *instance.row_bounds())
-    bounds = Bounds(instance.col_lower, instance.col_upper)
-    integrality = instance.col_binary.astype(int)
+    def has_point(status):
+        # At a limit, only a MIP run's finite objective is an incumbent's.
+        return status == optimal or (status in limits and len(binaries) > 0 and
+                                     model.getInfo().objective_function_value < np.inf)
 
-    def run(objective):
-        opts = {"presolve": True, "mip_rel_gap": options.relative_gap, "disp": False}
-        if deadline is not None:
-            opts["time_limit"] = time_left()
-        return milp(c=objective, constraints=constraints, integrality=integrality,
-                    bounds=bounds, options=opts)
-
-    res = run(instance.objective)
-    if res.status == 2:
-        # HiGHS reports some feasible unbounded LPs as infeasible; a solve
+    model.changeColsBounds(len(binaries), binaries, instance.col_lower[binaries],
+                           instance.col_upper[binaries])
+    model.changeColsIntegrality(len(binaries), binaries, np.ones(len(binaries), np.uint8))
+    model.setOptionValue("mip_rel_gap", options.relative_gap)
+    status = run()
+    if status == highs.HighsModelStatus.kInfeasible:
+        # HiGHS reports some feasible unbounded LPs as infeasible; a run
         # with a zero objective tells the two apart.
-        probe = run(np.zeros(instance.n_cols))
-        if probe.status not in (0, 1) or probe.x is None:
+        model.changeColsCost(instance.n_cols, np.arange(instance.n_cols),
+                             np.zeros(instance.n_cols))
+        if not has_point(run()):
             return SolveResult("infeasible", None, None, achieved_gap=np.inf)
-    if res.status in (2, 3):
+    if status in (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kUnbounded):
         raise SolverError("external backend reports unbounded; the sizing "
                           "model is bounded below, so the instance violates "
                           "the solver contract")
-    # scipy passes on any point HiGHS has, even after a solve error, so only
-    # status 0 (solved) and 1 (time or iteration limit) may report one.
-    if res.status not in (0, 1):
-        raise SolverError(f"external backend failed (status {res.status}): "
-                          f"{res.message}")
-    if res.x is None:
-        if res.status == 1:
-            return SolveResult("time_limit", None, None, achieved_gap=np.inf)
-        raise SolverError(f"external backend failed: {res.message}")
-    gap = float(res.mip_gap) if res.mip_gap is not None else 0.0
-    if res.status == 1:
-        status = "time_limit"
-    else:
-        status = "optimal" if gap <= 1e-12 else "gap_optimal"
-    return SolveResult(status, float(res.fun), np.asarray(res.x),
-                       achieved_gap=gap, nodes=int(res.mip_node_count or 0))
+    if status not in (optimal, *limits):
+        raise SolverError("external backend failed: HiGHS status "
+                          f"{model.modelStatusToString(status)!r}")
+    if not has_point(status):
+        return SolveResult("time_limit", None, None, achieved_gap=np.inf)
+    info = model.getInfo()
+    # A run with no binaries is an LP's: no MIP gap (inf) and no nodes (-1).
+    gap, nodes = (info.mip_gap, info.mip_node_count) if len(binaries) else (0.0, 0)
+    outcome = ("time_limit" if status != optimal
+               else "optimal" if gap <= 1e-12 else "gap_optimal")
+    return SolveResult(outcome, info.objective_function_value,
+                       np.array(model.getSolution().col_value), achieved_gap=gap, nodes=nodes)

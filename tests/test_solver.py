@@ -61,6 +61,27 @@ def test_oracle_one_binary_is_min_of_two_lps():
     assert res.nodes == 2
 
 
+@pytest.mark.parametrize("cost, excess", [(1.0, 0.0), (1000.0, 1e-7)])
+def test_oracle_breaks_a_tie_by_the_lowest_bit_pattern(cost, excess):
+    # min (c + e) z1 + c z2 with z1 + z2 >= 1: (1, 0) and (0, 1) tie. The
+    # excess e = 1e-7 on 1000 is 1e-10 relative: a tie, though above 1e-12.
+    first = cost + excess
+    inst = dense_instance([first, cost], [0.0, 0.0], [1.0, 1.0], [[1.0, 1.0]],
+                          [GE], [1.0], binary=[True, True])
+    res = oracle_enumerate(inst)
+    assert res.objective == first and res.x.tolist() == [1.0, 0.0]
+    assert res.nodes == 4
+
+
+def test_oracle_raises_on_a_status_that_is_neither_optimal_nor_infeasible():
+    # HiGHS takes the 1e21 cost as infinite and ends every run as kUnknown:
+    # an LP that did not solve, not an infeasible assignment.
+    inst = dense_instance([1e21, 1.0], [0.0, 0.0], [1.0, 1.0], [[1.0, 0.0]],
+                          [GE], [0.5], binary=[False, True])
+    with pytest.raises(SolverError, match="HiGHS status 'Unknown'"):
+        oracle_enumerate(inst)
+
+
 def test_oracle_guard_refuses_17_binaries():
     inst = dense_instance(np.ones(17), np.zeros(17), np.ones(17),
                           [np.eye(17)[0]], [GE], [0.0], binary=[True] * 17)
@@ -224,7 +245,7 @@ def case3_k2(days_k2, table_catalog, default_tariff):
 
 @pytest.fixture(scope="module")
 def case2_k3(packaged_profile, table_catalog, default_tariff):
-    # Its dive ends 2.9e-8 above the relaxation, so at gap 0 milp searches.
+    # Its dive ends 2.9e-8 above the relaxation, so at gap 0 the MIP search runs.
     days = reduce_scenarios(packaged_profile, ReductionConfig(k=3), LoadSplitSpec())
     return build_model(days, table_catalog, default_tariff, CaseSpec.from_number(2))
 
@@ -351,10 +372,12 @@ def test_warm_start_other_errors_propagate(monkeypatch):
 
 
 def _record_highs_runs(monkeypatch, after_run=None):
-    """Keep the column bounds of every run of the external backend's HiGHS model.
+    """Keep the column bounds and integrality of every run of the external
+    backend's HiGHS model.
 
     ``after_run(model)`` is called after each run; setting ``model.status``
-    there makes the model report that status instead of its own.
+    there makes the model report that status instead of its own, for that
+    run only.
     """
     real = solver._highs_model
     runs = []
@@ -370,7 +393,9 @@ def _record_highs_runs(monkeypatch, after_run=None):
 
         def run(self):
             lp = self.model.getLp()
-            runs.append((np.array(lp.col_lower_), np.array(lp.col_upper_)))
+            runs.append((np.array(lp.col_lower_), np.array(lp.col_upper_),
+                         np.array([int(kind) for kind in lp.integrality_])))
+            self.status = None
             outcome = self.model.run()
             if after_run is not None:
                 after_run(self)
@@ -383,17 +408,12 @@ def _record_highs_runs(monkeypatch, after_run=None):
     return runs
 
 
-def _count_milp_calls(monkeypatch):
-    import scipy.optimize
-    real = scipy.optimize.milp
-    calls = []
-
-    def milp(**kwargs):
-        calls.append(kwargs)
-        return real(**kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "milp", milp)
-    return calls
+def _assert_is_the_mip_run(inst, run):
+    """The run is HiGHS's MIP search: the instance's bounds, binaries integer."""
+    lower, upper, integrality = run
+    np.testing.assert_array_equal(lower, inst.col_lower)
+    np.testing.assert_array_equal(upper, inst.col_upper)
+    np.testing.assert_array_equal(integrality, inst.col_binary.astype(int))
 
 
 def _direct_milp(inst, gap):
@@ -423,20 +443,18 @@ def _rounding_misses():
 
 
 def test_external_status_with_a_point_is_not_optimal(monkeypatch):
-    import scipy.optimize
-    from scipy.optimize import OptimizeResult
-    inst = _rounding_misses()         # its dive misses gap 0, so milp runs
-    runs = _record_highs_runs(monkeypatch)
+    from scipy.optimize._highspy import _core as highs
+    inst = _rounding_misses()         # its dive misses gap 0, so the MIP search runs
 
-    def failed_milp(**kwargs):
-        return OptimizeResult(status=4, message="injected solve error",
-                              x=np.zeros(inst.n_cols), fun=0.0, mip_gap=0.0,
-                              mip_dual_bound=0.0, mip_node_count=1, success=False)
+    def after_run(model):
+        if len(runs) == 3:            # the search finds its point, then reports an error
+            model.status = highs.HighsModelStatus.kSolveError
 
-    monkeypatch.setattr(scipy.optimize, "milp", failed_milp)
-    with pytest.raises(SolverError, match="injected solve error"):
+    runs = _record_highs_runs(monkeypatch, after_run)
+    with pytest.raises(SolverError, match="Solve error"):
         solve_milp(inst, SolveOptions(relative_gap=0.0, backend="external"))
-    assert len(runs) == 2             # the relaxation and the dive ran first
+    assert len(runs) == 3             # the relaxation and the dive ran first
+    _assert_is_the_mip_run(inst, runs[2])
 
 
 def test_external_returns_the_dive_point_when_it_closes_the_gap(case3_k2, table_catalog,
@@ -454,13 +472,13 @@ def test_external_returns_the_dive_point_when_it_closes_the_gap(case3_k2, table_
 
 def test_external_dive_that_closes_makes_two_highs_calls(case3_k2, monkeypatch):
     runs = _record_highs_runs(monkeypatch)
-    calls = _count_milp_calls(monkeypatch)
     res = solve_milp(case3_k2, SolveOptions(relative_gap=0.0, backend="external"))
     assert res.status == "optimal"
     # The relaxation, then one dive run on the same model with every binary
-    # fixed and every other bound as the instance has it; milp never runs.
-    assert len(runs) == 2 and calls == []
-    (lower, upper), (fixed_lower, fixed_upper) = runs
+    # fixed and every other bound as the instance has it; the MIP search
+    # never runs.
+    assert len(runs) == 2
+    (lower, upper, _), (fixed_lower, fixed_upper, _) = runs
     np.testing.assert_array_equal(lower, case3_k2.col_lower)
     np.testing.assert_array_equal(upper, case3_k2.col_upper)
     binaries = case3_k2.binary_indices
@@ -472,15 +490,13 @@ def test_external_dive_that_closes_makes_two_highs_calls(case3_k2, monkeypatch):
 
 def test_external_falls_back_to_milp_when_the_dive_misses_the_gap(case2_k3, monkeypatch):
     runs = _record_highs_runs(monkeypatch)
-    calls = _count_milp_calls(monkeypatch)
     for inst in (_rounding_misses(), case2_k3):   # dives that miss gap 0
         direct = _direct_milp(inst, 0.0)
         runs.clear()
-        calls.clear()
         res = solve_milp(inst, SolveOptions(relative_gap=0.0, backend="external"))
-        # The relaxation and the dive LP on one model, then one milp call.
-        assert len(runs) == 2
-        assert [call["integrality"] is None for call in calls] == [False]
+        # The relaxation, the dive LP and the MIP search, all on one model.
+        assert len(runs) == 3
+        _assert_is_the_mip_run(inst, runs[2])
         _assert_is_the_direct_milp(res, direct)
 
 
@@ -496,11 +512,32 @@ def test_external_dive_gets_the_time_left_not_a_fresh_limit(case3_k2, monkeypatc
             clock[0] = 60.0 - 0.8 * model.getRunTime()
 
     runs = _record_highs_runs(monkeypatch, after_run)
-    calls = _count_milp_calls(monkeypatch)
     res = solve_milp(case3_k2, SolveOptions(relative_gap=0.0, time_limit=60.0,
                                             backend="external"))
     assert res.status == "optimal" and res.nodes == 0
-    assert len(runs) == 2 and calls == []
+    assert len(runs) == 2
+
+
+@pytest.mark.parametrize("limited_runs, status, point", [(1, "optimal", True),
+                                                         (2, "time_limit", False)])
+def test_external_search_without_binaries_is_an_lp_run(monkeypatch, limited_runs,
+                                                       status, point):
+    # With no binaries the relaxation stands for the search too. When it stops
+    # at a limit, the search runs the same LP again. That LP run has no MIP
+    # gap or nodes, and at a limit its finite objective is not an incumbent's.
+    from scipy.optimize._highspy import _core as highs
+    inst = dense_instance([1.0], [0.0], [10.0], [[1.0]], [GE], [3.0])
+
+    def after_run(model):
+        if len(runs) <= limited_runs:
+            model.status = highs.HighsModelStatus.kTimeLimit
+
+    runs = _record_highs_runs(monkeypatch, after_run)
+    res = solve_milp(inst, SolveOptions(relative_gap=0.0, backend="external"))
+    assert len(runs) == 2
+    assert res.status == status and (res.x is not None) == point
+    if point:
+        assert res.objective == 3.0 and res.achieved_gap == 0.0 and res.nodes == 0
 
 
 @pytest.mark.parametrize("status", ["kTimeLimit", "kIterationLimit", "kInfeasible",
@@ -514,7 +551,7 @@ def test_external_dive_that_is_not_optimal_falls_back_to_milp(monkeypatch, statu
             model.status = getattr(highs.HighsModelStatus, status)
 
     runs = _record_highs_runs(monkeypatch, after_run)
-    calls = _count_milp_calls(monkeypatch)
     res = solve_milp(inst, SolveOptions(relative_gap=0.0, backend="external"))
-    assert len(calls) == 1
+    assert len(runs) == 3
+    _assert_is_the_mip_run(inst, runs[2])
     _assert_is_the_direct_milp(res, _direct_milp(inst, 0.0))

@@ -250,6 +250,9 @@ def test_cli_propagates_solve_failure(tmp_path, small_profile_path):
     ({"split": {"critical_fraction": True}}, 3),
     ({"weights": {"annual_demand_weight": "12"}}, 3),
     ({"weights": {"annual_day_weight": float("nan")}}, 3),
+    ({"catalog": {"c_pv": float("inf")}}, 3),
+    ({"weights": {"annual_day_weight": float("inf")}}, 3),
+    ({"tariff": {"energy_price": [0.1] * 24, "peak_cap": float("inf")}}, 0),
 ])
 def test_cli_validate_exits_as_run_does(tmp_path, small_profile_path, overrides, code):
     config_path = _config_file(tmp_path, small_profile_path, cases=[0], **overrides)
