@@ -10,7 +10,7 @@ import numpy as np
 
 from dersizer import (LoadSplitSpec, ReductionConfig, packaged_profile_path,
                       parse_profile_csv, reconstruction_error, reduce_scenarios,
-                      split_loads, validate_scenario_set)
+                      split_loads)
 
 profile = parse_profile_csv(packaged_profile_path())
 print(f"profile: {profile.hours} hours, peak {profile.load_kw.max():.0f} kW, "
@@ -21,9 +21,10 @@ cl_ac, cl_dc, nl_ac, nl_dc = split_loads(profile.load_kw, split)
 print(f"critical peak {np.max(cl_ac + cl_dc):.0f} kW, "
       f"non-critical peak {np.max(nl_ac + nl_dc):.0f} kW")
 
+# A ScenarioSet checks itself when built, so a returned set is a valid one.
 scenario_set = reduce_scenarios(profile, ReductionConfig(k=6), split)
-report = validate_scenario_set(scenario_set)
-print(f"reduced to {len(scenario_set.days)} days (validation: {report})")
+print(f"reduced to {len(scenario_set.days)} days, "
+      f"probabilities sum to {scenario_set.probabilities.sum():.6f}")
 for day in scenario_set.days:
     load = day.total_load()
     print(f"  {day.id}: weight {day.probability:.3f}, "

@@ -14,11 +14,9 @@ from .data_model import (
     LoadSplitSpec,
     ScenarioSet,
     TariffPlan,
-    ValidationReport,
     packaged_profile_path,
     parse_profile_csv,
     split_loads,
-    validate_scenario_set,
     write_profile_csv,
 )
 from .finance import (
@@ -44,9 +42,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnualProfile", "DayScenario", "DeviceCatalog", "LoadSplitSpec",
-    "ScenarioSet", "TariffPlan", "ValidationReport", "packaged_profile_path",
-    "parse_profile_csv", "split_loads", "validate_scenario_set",
-    "write_profile_csv",
+    "ScenarioSet", "TariffPlan", "packaged_profile_path", "parse_profile_csv",
+    "split_loads", "write_profile_csv",
     "CostBreakdown", "annualize_expected", "capital_recovery_factor",
     "catalog_from_capital_costs", "degradation_cost", "demand_charge",
     "energy_charge", "investment_cost", "shedding_cost",

@@ -8,11 +8,13 @@ Conventions used everywhere downstream:
   (energy, degradation, lost load) or $/kW (demand charge);
 * PV availability is a per-unit series in [0, 1] against installed kW.
 
-Types are frozen dataclasses and safe to share between threads. The
-scenario containers check only shape and finiteness when constructed:
-``DayScenario`` raises on a ragged or non-finite series and
-``ScenarioSet`` on an empty one. ``validate_scenario_set`` reports their
-value ranges, every violated invariant instead of only the first.
+Types are frozen dataclasses and safe to share between threads. Each
+checks its values when constructed and raises ``ValidationError`` on the
+first fault, so a built object is valid: a ``DayScenario`` has equal-length
+finite series, nonnegative loads, PV in [0, 1] and a probability in
+(0, 1]; a ``ScenarioSet`` has days of one length whose probabilities sum
+to 1 and finite positive annual weights. Their arrays are read-only
+copies, so nothing can invalidate an object after its checks.
 """
 
 from __future__ import annotations
@@ -47,11 +49,13 @@ def check_reals(kind: str, values: dict) -> None:
 
 
 def _as_series(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    """A read-only float copy of a 1-D series of finite values."""
+    arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be a 1-D series, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite values")
+    arr.setflags(write=False)
     return arr
 
 
@@ -79,6 +83,16 @@ class DayScenario:
                    ("cl_ac", "cl_dc", "nl_ac", "nl_dc", "pv_availability")}
         if len(lengths) != 1:
             raise ValidationError(f"day {self.id}: series lengths differ: {sorted(lengths)}")
+        if not 0.0 < self.probability <= 1.0:
+            raise ValidationError(f"day {self.id}: probability {self.probability:.10g} "
+                                  "outside (0, 1]")
+        for name in ("cl_ac", "cl_dc", "nl_ac", "nl_dc", "pv_availability"):
+            series, pv = getattr(self, name), name == "pv_availability"
+            bad = np.flatnonzero((series < 0) | (pv & (series > 1)))
+            if bad.size:
+                t = int(bad[0])
+                fault = "outside [0, 1]" if pv else "is negative"
+                raise ValidationError(f"day {self.id}: {name}[{t}]={series[t]:.10g} {fault}")
 
     @property
     def intervals(self) -> int:
@@ -105,6 +119,18 @@ class ScenarioSet:
         object.__setattr__(self, "days", tuple(self.days))
         if not self.days:
             raise ValidationError("scenario set has no days")
+        expected_t = self.days[0].intervals
+        for day in self.days:
+            if day.intervals != expected_t:
+                raise ValidationError(f"day {day.id}: {day.intervals} intervals, "
+                                      f"expected {expected_t}")
+        prob_sum = float(sum(d.probability for d in self.days))
+        if abs(prob_sum - 1.0) > 1e-9:
+            raise ValidationError(f"probabilities sum to {prob_sum:.10g}")
+        check_reals("scenario set", {"annual_day_weight": self.annual_day_weight,
+                                     "annual_demand_weight": self.annual_demand_weight})
+        if self.annual_day_weight <= 0 or self.annual_demand_weight <= 0:
+            raise ValidationError("annual weights must be positive")
 
     @property
     def intervals(self) -> int:
@@ -254,25 +280,6 @@ class AnnualProfile:
         return self.hours // 24
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of a report-style validation pass."""
-
-    problems: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        return "\n".join(self.problems)
-
-
 HOUR = timedelta(hours=1)
 
 
@@ -386,38 +393,3 @@ def split_loads(total_load, spec: LoadSplitSpec):
     nl_ac = noncritical - nl_dc
     return cl_ac, cl_dc, nl_ac, nl_dc
 
-
-def validate_scenario_set(scenario_set: ScenarioSet) -> ValidationReport:
-    """Check every scenario-set invariant and report all violations.
-
-    Returns a passing report or a list of human-readable problems; it
-    never raises. Downstream modules assume a passing set.
-    """
-    problems: list[str] = []
-    days = scenario_set.days
-    prob_sum = float(sum(d.probability for d in days))
-    if abs(prob_sum - 1.0) > 1e-9:
-        problems.append(f"probabilities sum to {prob_sum:.10g}")
-    expected_t = days[0].intervals
-    for day in days:
-        if not 0.0 < day.probability <= 1.0:
-            problems.append(f"day {day.id}: probability {day.probability:.10g} "
-                            "outside (0, 1]")
-        if day.intervals != expected_t:
-            problems.append(f"day {day.id}: {day.intervals} intervals, "
-                            f"expected {expected_t}")
-        for name in ("cl_ac", "cl_dc", "nl_ac", "nl_dc"):
-            series = getattr(day, name)
-            bad = np.flatnonzero(series < 0)
-            if bad.size:
-                t = int(bad[0])
-                problems.append(f"day {day.id}: {name}[{t}]={series[t]:.10g} is negative")
-        pv = day.pv_availability
-        bad = np.flatnonzero((pv < 0) | (pv > 1))
-        if bad.size:
-            t = int(bad[0])
-            problems.append(f"day {day.id}: pv_availability[{t}]={pv[t]:.10g} "
-                            "outside [0, 1]")
-    if scenario_set.annual_day_weight <= 0 or scenario_set.annual_demand_weight <= 0:
-        problems.append("annual weights must be positive")
-    return ValidationReport(problems=tuple(problems))

@@ -50,7 +50,7 @@ from numbers import Real
 import numpy as np
 import scipy.sparse as sp
 
-from .data_model import DeviceCatalog, ScenarioSet, TariffPlan, validate_scenario_set
+from .data_model import DeviceCatalog, ScenarioSet, TariffPlan
 from .errors import BuildError, SolverError
 from .milp_instance import EQ, GE, LE, MilpInstance
 from .solution import CaseSpec, GridDispatch, IslandedDispatch, SizingSolution
@@ -140,9 +140,6 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
     where its off columns do. ``meta["binary_free"]`` marks the binaries
     either value serves when neither carries flow; the others are 0 then.
     """
-    report = validate_scenario_set(scenario_set)
-    if not report.ok:
-        raise BuildError(f"scenario set invalid: {report}")
     t_count = scenario_set.intervals
     if tariff.intervals != t_count:
         raise BuildError(f"tariff has {tariff.intervals} prices for {t_count} intervals")
@@ -180,7 +177,7 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
 
     series = {attr: np.array([getattr(day, attr) for day in days])
               for attr in ("cl_ac", "cl_dc", "nl_ac", "nl_dc", "pv_availability")}
-    probability = np.array([day.probability for day in days])[:, None]
+    probability = scenario_set.probabilities[:, None]
     w_day = probability * scenario_set.annual_day_weight
     w_dem = probability * scenario_set.annual_demand_weight
 
@@ -353,7 +350,6 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
             "binary_off": gates(off),
             "binary_free": free[col_binary],
         })
-    instance.validate()
     return instance
 
 

@@ -20,10 +20,18 @@ from .errors import BuildError
 LE, GE, EQ = "<=", ">=", "="
 _SENSES = (LE, GE, EQ)
 
+# HiGHS reads a cost this large as infinite, so the external backend and
+# the oracle cannot solve what the reference backend would.
+INFINITE_COST = 1e20
+
 
 @dataclass(frozen=True)
 class MilpInstance:
-    """Immutable standard-form minimize MILP with named columns and rows."""
+    """Immutable standard-form minimize MILP with named columns and rows.
+
+    Construction keeps read-only copies of the arrays and raises
+    ``BuildError`` on the first malformed piece, so a built instance is valid.
+    """
 
     col_names: tuple[str, ...]
     col_lower: np.ndarray
@@ -35,6 +43,47 @@ class MilpInstance:
     rhs: np.ndarray
     matrix: sp.csr_matrix
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name, dtype in (("col_lower", float), ("col_upper", float),
+                            ("col_binary", bool), ("objective", float), ("rhs", float)):
+            values = np.array(getattr(self, name), dtype=dtype)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        matrix = sp.csr_matrix(self.matrix, copy=True)
+        for values in (matrix.data, matrix.indices, matrix.indptr):
+            values.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
+        if not (len(self.col_lower) == len(self.col_upper) == len(self.objective)
+                == len(self.col_binary) == self.n_cols):
+            raise BuildError("column array lengths disagree")
+        if not (len(self.rhs) == len(self.row_sense) == self.n_rows):
+            raise BuildError("row array lengths disagree")
+        if self.matrix.shape != (self.n_rows, self.n_cols):
+            raise BuildError(f"matrix shape {self.matrix.shape} does not match "
+                             f"({self.n_rows}, {self.n_cols})")
+        if len(set(self.col_names)) != self.n_cols:
+            raise BuildError("duplicate column names")
+        binaries = self.col_binary
+        if np.any(self.col_lower[binaries] < 0) or np.any(self.col_upper[binaries] > 1):
+            raise BuildError("binary column with bounds outside [0, 1]")
+        if np.any(self.col_lower > self.col_upper):
+            raise BuildError("column with lower bound above upper bound")
+        if not np.all(np.isfinite(self.matrix.data)):
+            raise BuildError("non-finite constraint coefficient")
+        if not np.all(np.isfinite(self.rhs)):
+            raise BuildError("non-finite rhs")
+        if not np.all(np.isfinite(self.objective)):
+            raise BuildError("non-finite objective coefficient")
+        huge = np.flatnonzero(np.abs(self.objective) >= INFINITE_COST)
+        if huge.size:
+            j = int(huge[0])
+            raise BuildError(f"objective coefficient {self.objective[j]:.10g} of "
+                             f"{self.col_names[j]} is at or above HiGHS's infinite "
+                             f"cost {INFINITE_COST:g}")
+        for sense in self.row_sense:
+            if sense not in _SENSES:
+                raise BuildError(f"bad row sense {sense!r}")
 
     @property
     def n_cols(self) -> int:
@@ -62,33 +111,6 @@ class MilpInstance:
             return self.col_names.index(name)
         except ValueError:
             raise KeyError(f"no column named {name}") from None
-
-    def validate(self) -> None:
-        """Raise BuildError on any malformed piece of the instance."""
-        if not (len(self.col_lower) == len(self.col_upper) == len(self.objective)
-                == len(self.col_binary) == self.n_cols):
-            raise BuildError("column array lengths disagree")
-        if not (len(self.rhs) == len(self.row_sense) == self.n_rows):
-            raise BuildError("row array lengths disagree")
-        if self.matrix.shape != (self.n_rows, self.n_cols):
-            raise BuildError(f"matrix shape {self.matrix.shape} does not match "
-                             f"({self.n_rows}, {self.n_cols})")
-        if len(set(self.col_names)) != self.n_cols:
-            raise BuildError("duplicate column names")
-        binaries = self.col_binary
-        if np.any(self.col_lower[binaries] < 0) or np.any(self.col_upper[binaries] > 1):
-            raise BuildError("binary column with bounds outside [0, 1]")
-        if np.any(self.col_lower > self.col_upper):
-            raise BuildError("column with lower bound above upper bound")
-        if not np.all(np.isfinite(self.matrix.data)):
-            raise BuildError("non-finite constraint coefficient")
-        if not np.all(np.isfinite(self.rhs)):
-            raise BuildError("non-finite rhs")
-        if not np.all(np.isfinite(self.objective)):
-            raise BuildError("non-finite objective coefficient")
-        for sense in self.row_sense:
-            if sense not in _SENSES:
-                raise BuildError(f"bad row sense {sense!r}")
 
 
 def _coef(value: float) -> str:

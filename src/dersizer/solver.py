@@ -129,7 +129,6 @@ def solve_lp(instance: MilpInstance) -> SolveResult:
 def solve_milp(instance: MilpInstance, options: SolveOptions | None = None) -> SolveResult:
     """Solve the instance with the backend named in the options."""
     options = options or SolveOptions()
-    instance.validate()
     if options.backend == "external":
         return solve_external(instance, options)
     if options.backend == "oracle":

@@ -21,10 +21,10 @@ from pathlib import Path
 from .audit import AuditReport, check_solution
 from .data_model import (AnnualProfile, DeviceCatalog, LoadSplitSpec, ScenarioSet,
                          TariffPlan, check_reals, packaged_profile_path,
-                         parse_profile_csv, validate_scenario_set)
+                         parse_profile_csv)
 from .errors import (ConfigError, DersizerError, IngestionError, SolverError,
                      ValidationError)
-from .finance import CostBreakdown
+from .finance import CostBreakdown, annualize_expected
 from .milp_builder import build_model, extract_solution
 from .reduction import ReductionConfig, reduce_scenarios
 from .solution import CaseSpec, SizingSolution
@@ -199,7 +199,7 @@ def _annual_shed_kwh(solution: SizingSolution, scenario_set: ScenarioSet) -> flo
     isl = solution.islanded
     per_day = (isl.shed_cl_ac.sum(axis=1) + isl.shed_cl_dc.sum(axis=1)
                + isl.shed_nl_ac.sum(axis=1) + isl.shed_nl_dc.sum(axis=1))
-    return scenario_set.annual_day_weight * float(scenario_set.probabilities @ per_day)
+    return annualize_expected(scenario_set, per_day, "shedding")
 
 
 def _results_column(outcome: CaseOutcome, scenario_set: ScenarioSet) -> list:
@@ -236,7 +236,9 @@ def _write_table(path: Path, header: list[str], columns) -> None:
 
 
 def prepare_study(config: StudyConfig) -> tuple[AnnualProfile, ScenarioSet, TariffPlan]:
-    """Ingest, reduce, weight and check the days, and pick the tariff.
+    """Ingest, reduce and weight the days, and pick the tariff.
+
+    A bad weight or reduced set raises ``ValidationError`` from ``ScenarioSet``.
 
     This is all that ``run_study`` and ``dersizer validate`` do before any case.
     """
@@ -248,9 +250,6 @@ def prepare_study(config: StudyConfig) -> tuple[AnnualProfile, ScenarioSet, Tari
     scenario_set = ScenarioSet(days=reduced.days,
                                annual_day_weight=config.annual_day_weight,
                                annual_demand_weight=config.annual_demand_weight)
-    report = validate_scenario_set(scenario_set)
-    if not report.ok:
-        raise ConfigError(f"reduced scenario set invalid: {report}")
     tariff = config.tariff if config.tariff is not None \
         else TariffPlan.default_tou(scenario_set.intervals)
     return profile, scenario_set, tariff

@@ -21,9 +21,9 @@ from dersizer.milp_instance import MilpInstance
 
 
 def dense_instance(cost, lower, upper, matrix, senses, rhs, binary=None) -> MilpInstance:
-    """A validated instance from dense arrays, columns ``x0…`` and rows ``r0…``."""
+    """An instance from dense arrays, columns ``x0…`` and rows ``r0…``."""
     n, m = len(cost), len(rhs)
-    instance = MilpInstance(
+    return MilpInstance(
         col_names=tuple(f"x{j}" for j in range(n)),
         col_lower=np.array(lower, dtype=float),
         col_upper=np.array(upper, dtype=float),
@@ -34,8 +34,6 @@ def dense_instance(cost, lower, upper, matrix, senses, rhs, binary=None) -> Milp
         row_sense=tuple(senses),
         rhs=np.array(rhs, dtype=float),
         matrix=sp.csr_matrix(np.array(matrix, dtype=float).reshape(m, n)))
-    instance.validate()
-    return instance
 
 
 def make_profile(load: np.ndarray, pv: np.ndarray) -> AnnualProfile:

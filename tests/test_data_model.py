@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dersizer import (DeviceCatalog, LoadSplitSpec, ScenarioSet, TariffPlan,
                       packaged_profile_path, parse_profile_csv, split_loads,
-                      validate_scenario_set, write_profile_csv)
+                      write_profile_csv)
 from dersizer.data_model import DayScenario
 from dersizer.errors import IngestionError, ValidationError
 from dersizer.synthetic import build_synthetic_year
@@ -258,31 +258,58 @@ def _day(**overrides):
 def test_validate_passes_even_split():
     scen = ScenarioSet(days=(_day(id="a", probability=0.5),
                              _day(id="b", probability=0.5)))
-    assert validate_scenario_set(scen).ok
+    np.testing.assert_array_equal(scen.probabilities, [0.5, 0.5])
 
 
 def test_validate_reports_probability_sum():
-    scen = ScenarioSet(days=(_day(id="a", probability=0.5),
-                             _day(id="b", probability=0.6)))
-    report = validate_scenario_set(scen)
-    assert not report.ok
-    assert any("probabilities sum to 1.1" in p for p in report.problems)
+    with pytest.raises(ValidationError, match="probabilities sum to 1.1"):
+        ScenarioSet(days=(_day(id="a", probability=0.5), _day(id="b", probability=0.6)))
 
 
 def test_validate_names_day_and_interval_for_bad_pv():
-    scen = ScenarioSet(days=(_day(id="d3", pv_availability=[1.2]),))
-    report = validate_scenario_set(scen)
-    assert any("d3" in p and "[0]" in p for p in report.problems)
+    with pytest.raises(ValidationError, match=r"d3: pv_availability\[0\]=1.2 outside"):
+        _day(id="d3", pv_availability=[1.2])
 
 
 def test_validate_reports_negative_load_and_length_mismatch():
-    scen = ScenarioSet(days=(
-        _day(id="a", probability=0.5, nl_ac=[-2.0]),
-        _day(id="b", probability=0.5, cl_ac=[1.0, 1.0], cl_dc=[0.0, 0.0],
-             nl_ac=[0.0, 0.0], nl_dc=[0.0, 0.0], pv_availability=[0.5, 0.5])))
-    report = validate_scenario_set(scen)
-    assert any("nl_ac" in p for p in report.problems)
-    assert any("intervals" in p for p in report.problems)
+    # One fault per construction: each raises on its own.
+    with pytest.raises(ValidationError, match=r"day a: nl_ac\[0\]=-2 is negative"):
+        _day(id="a", probability=0.5, nl_ac=[-2.0])
+    longer = _day(id="b", probability=0.5, cl_ac=[1.0, 1.0], cl_dc=[0.0, 0.0],
+                  nl_ac=[0.0, 0.0], nl_dc=[0.0, 0.0], pv_availability=[0.5, 0.5])
+    with pytest.raises(ValidationError, match="day b: 2 intervals, expected 1"):
+        ScenarioSet(days=(_day(id="a", probability=0.5), longer))
+
+
+@pytest.mark.parametrize("probability", [float("nan"), 0.0, 1.5])
+def test_day_scenario_rejects_a_probability_outside_0_1(probability):
+    with pytest.raises(ValidationError, match=r"day d0: probability .* outside \(0, 1\]"):
+        _day(probability=probability)
+
+
+@pytest.mark.parametrize("weight, message", [(float("nan"), "must be a finite real number"),
+                                             (float("inf"), "must be a finite real number"),
+                                             (0.0, "annual weights must be positive")])
+def test_scenario_set_rejects_a_bad_annual_weight(weight, message):
+    for name in ("annual_day_weight", "annual_demand_weight"):
+        with pytest.raises(ValidationError, match=message):
+            ScenarioSet(days=(_day(),), **{name: weight})
+
+
+def test_built_arrays_are_read_only():
+    day = _day()
+    with pytest.raises(ValueError, match="read-only"):
+        day.nl_ac[0] = -1.0
+    tariff = TariffPlan(energy_price=[0.1])
+    with pytest.raises(ValueError, match="read-only"):
+        tariff.energy_price[0] = -1.0
+
+
+def test_built_series_are_copies():
+    loads = np.array([1.0])
+    day = _day(cl_ac=loads)
+    loads[0] = -1.0
+    assert day.cl_ac[0] == 1.0
 
 
 def test_day_scenario_rejects_ragged_series():

@@ -13,7 +13,7 @@ from dersizer import (CaseSpec, DeviceCatalog, ScenarioSet, SolveOptions,
                       extract_solution, solve_lp, solve_milp, write_lp)
 from dersizer import milp_builder
 from dersizer.data_model import DayScenario
-from dersizer.errors import BuildError, SolverError
+from dersizer.errors import BuildError, SolverError, ValidationError
 from dersizer.milp_builder import expected_dimensions, variable_blocks
 from dersizer.milp_instance import LE
 from dersizer.solution import GridDispatch, IslandedDispatch
@@ -174,9 +174,8 @@ def test_build_rejects_tariff_length_mismatch():
 
 
 def test_build_rejects_invalid_scenarios():
-    scen = ScenarioSet(days=(_flat_day(probability=0.4),))
-    with pytest.raises(BuildError, match="probabilities sum"):
-        build_model(scen, DeviceCatalog(), _tariff(2), CaseSpec.from_number(0))
+    with pytest.raises(ValidationError, match="probabilities sum"):
+        ScenarioSet(days=(_flat_day(probability=0.4),))
 
 
 def test_build_rejects_bad_soc_boundary():
@@ -389,10 +388,21 @@ def test_lp_writer_round_trippable_text(tmp_path):
 def test_instance_validation_catches_corruption():
     scen, catalog, tariff = tiny_sizing_inputs(0)
     instance = build_model(scen, catalog, tariff, CaseSpec.from_number(3))
-    instance.validate()
-    bad = replace(instance, col_lower=instance.col_lower + 1e9)
     with pytest.raises(BuildError):
-        bad.validate()
+        replace(instance, col_lower=instance.col_lower + 1e9)
+
+
+def test_instance_arrays_are_read_only_copies():
+    scen, catalog, tariff = tiny_sizing_inputs(0)
+    instance = build_model(scen, catalog, tariff, CaseSpec.from_number(3))
+    for array in (instance.objective, instance.matrix.data, instance.matrix.indices,
+                  instance.matrix.indptr, instance.col_upper):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1e30
+    objective = instance.objective.copy()
+    built = replace(instance, objective=objective)
+    objective[0] = np.nan
+    assert built.objective[0] == instance.objective[0]
 
 
 @pytest.mark.parametrize("fault, message", [
@@ -402,10 +412,12 @@ def test_instance_validation_catches_corruption():
     ({"rhs": np.array([np.nan])}, "non-finite rhs"),
     ({"objective": np.array([np.inf, 0.0])}, "non-finite objective"),
     ({"matrix": sp.csr_matrix([[np.inf, 1.0]])}, "non-finite constraint coefficient"),
+    ({"objective": np.array([1e21, 1.0])},
+     r"objective coefficient 1e\+21 of x0 is at or above HiGHS's infinite cost"),
 ], ids=["duplicate-name", "binary-above-1", "bad-sense", "nan-rhs", "inf-objective",
-        "inf-coefficient"])
+        "inf-coefficient", "cost-at-highs-infinity"])
 def test_instance_validation_names_the_fault(fault, message):
     instance = dense_instance([1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [[1.0, 1.0]],
                               [LE], [1.0], binary=[False, True])
     with pytest.raises(BuildError, match=message):
-        replace(instance, **fault).validate()
+        replace(instance, **fault)

@@ -74,11 +74,11 @@ def test_oracle_breaks_a_tie_by_the_lowest_bit_pattern(cost, excess):
 
 
 def test_oracle_raises_on_a_status_that_is_neither_optimal_nor_infeasible():
-    # HiGHS takes the 1e21 cost as infinite and ends every run as kUnknown:
-    # an LP that did not solve, not an infeasible assignment.
-    inst = dense_instance([1e21, 1.0], [0.0, 0.0], [1.0, 1.0], [[1.0, 0.0]],
-                          [GE], [0.5], binary=[False, True])
-    with pytest.raises(SolverError, match="HiGHS status 'Unknown'"):
+    # x0 is free to grow at a negative cost, so every run ends kUnbounded:
+    # an LP without an optimum, not an infeasible assignment.
+    inst = dense_instance([-1.0, 1.0], [0.0, 0.0], [np.inf, 1.0], [[0.0, 1.0]],
+                          [GE], [0.0], binary=[False, True])
+    with pytest.raises(SolverError, match="HiGHS status 'Unbounded'"):
         oracle_enumerate(inst)
 
 

@@ -253,6 +253,7 @@ def test_cli_propagates_solve_failure(tmp_path, small_profile_path):
     ({"catalog": {"c_pv": float("inf")}}, 3),
     ({"weights": {"annual_day_weight": float("inf")}}, 3),
     ({"tariff": {"energy_price": [0.1] * 24, "peak_cap": float("inf")}}, 0),
+    ({"catalog": {"c_pv": 1e21}}, 1),
 ])
 def test_cli_validate_exits_as_run_does(tmp_path, small_profile_path, overrides, code):
     config_path = _config_file(tmp_path, small_profile_path, cases=[0], **overrides)
