@@ -20,9 +20,12 @@ from .errors import BuildError
 LE, GE, EQ = "<=", ">=", "="
 _SENSES = (LE, GE, EQ)
 
-# HiGHS reads a cost this large as infinite, so the external backend and
-# the oracle cannot solve what the reference backend would.
+# HiGHS reads a cost or a bound this large as infinite, and refuses a
+# matrix coefficient this large, so the external backend and the oracle
+# cannot solve what the reference backend would.
 INFINITE_COST = 1e20
+INFINITE_BOUND = 1e20
+LARGE_MATRIX_VALUE = 1e15
 
 
 @dataclass(frozen=True)
@@ -75,12 +78,27 @@ class MilpInstance:
             raise BuildError("non-finite rhs")
         if not np.all(np.isfinite(self.objective)):
             raise BuildError("non-finite objective coefficient")
-        huge = np.flatnonzero(np.abs(self.objective) >= INFINITE_COST)
+        for what, values, names, limit, limit_name in (
+                ("objective coefficient", self.objective, self.col_names,
+                 INFINITE_COST, "infinite cost"),
+                ("lower bound", self.col_lower, self.col_names,
+                 INFINITE_BOUND, "infinite bound"),
+                ("upper bound", self.col_upper, self.col_names,
+                 INFINITE_BOUND, "infinite bound"),
+                ("rhs", self.rhs, self.row_names, INFINITE_BOUND, "infinite bound")):
+            huge = np.flatnonzero(np.isfinite(values) & (np.abs(values) >= limit))
+            if huge.size:
+                j = int(huge[0])
+                raise BuildError(f"{what} {values[j]:.10g} of {names[j]} is at or "
+                                 f"above HiGHS's {limit_name} {limit:g}")
+        huge = np.flatnonzero(np.abs(self.matrix.data) >= LARGE_MATRIX_VALUE)
         if huge.size:
-            j = int(huge[0])
-            raise BuildError(f"objective coefficient {self.objective[j]:.10g} of "
-                             f"{self.col_names[j]} is at or above HiGHS's infinite "
-                             f"cost {INFINITE_COST:g}")
+            k = int(huge[0])
+            i = int(np.searchsorted(self.matrix.indptr, k, side="right")) - 1
+            raise BuildError(f"coefficient {self.matrix.data[k]:.10g} of "
+                             f"{self.col_names[self.matrix.indices[k]]} in row "
+                             f"{self.row_names[i]} is at or above HiGHS's large "
+                             f"matrix value {LARGE_MATRIX_VALUE:g}")
         for sense in self.row_sense:
             if sense not in _SENSES:
                 raise BuildError(f"bad row sense {sense!r}")

@@ -12,15 +12,16 @@ Three interchangeable backends sit behind :func:`solve_milp`:
     for (the builder's hints) or else rounded, which usually closes the
     gap at the root. Deterministic.
 ``external``
-    scipy's HiGHS, every run on one model. HiGHS solves the LP relaxation,
-    and the rounding dive runs from its point as one LP: only the binaries'
-    bounds change, so HiGHS's dual simplex re-solves from the relaxation's
-    basis. A dive point within the gap of the relaxation's bound is the
-    answer, with no nodes; otherwise, or when the relaxation does not
-    solve, the binaries get back their bounds, become integer, and HiGHS's
-    MIP search runs on the same model. The model is held through
-    ``scipy.optimize._highspy._core``, the private binding behind scipy's
-    (1.15 on) ``milp``, which builds a new model per call.
+    scipy's HiGHS, every run on one model, its dual simplex priced with
+    Devex. HiGHS solves the LP relaxation, and the rounding dive runs from
+    its point as one LP: only the binaries' bounds change, so HiGHS's dual
+    simplex re-solves from the relaxation's basis. A dive point within the
+    gap of the relaxation's bound is the answer, with no nodes; otherwise,
+    or when the relaxation does not solve, the binaries get back their
+    bounds, become integer, and HiGHS's MIP search runs on the same model.
+    The model is held through ``scipy.optimize._highspy._core``, the
+    private binding behind scipy's (1.15 on) ``milp``, which builds a new
+    model per call.
 ``oracle``
     Brute-force enumeration of every binary assignment (hard-capped at 16
     binaries), each an LP on one HiGHS model of its own that only the
@@ -28,6 +29,13 @@ Three interchangeable backends sit behind :func:`solve_milp`:
     shared with the other two backends, so each pair can certify each other:
     the oracle fills its model through ``HighsLp`` attributes and the
     external backend from buffers, apart on purpose.
+
+On ``reference`` and ``external``, ``SolveResult.basis`` is the optimal
+basis of the relaxation the result's bound comes from. Passed as
+``solve_milp(..., warm_start=)``, it starts the relaxation of another
+instance of the same shape, as the study does for twin cases (Huangfu and
+Hall, Math. Prog. Comp. 10, 2018). A basis of another shape or backend is
+not used, and one that HiGHS rejects, or a singular one, gives the cold start.
 
 Each solve is single-threaded and deterministic; distinct instances may
 be solved concurrently. The reference backend keeps one ``NodeRecord``
@@ -103,6 +111,10 @@ class SolveResult:
     iterations: int = 0
     node_log: list[NodeRecord] = field(default_factory=list)
     ray: np.ndarray | None = None
+    # The optimal basis of the relaxation the bound comes from, a warm start
+    # for an instance of the same shape: HiGHS's ``HighsBasis`` (external)
+    # or the root LP's ``(basis, col_status)`` (reference).
+    basis: object = None
 
     @property
     def ok(self) -> bool:
@@ -126,14 +138,20 @@ def solve_lp(instance: MilpInstance) -> SolveResult:
     )
 
 
-def solve_milp(instance: MilpInstance, options: SolveOptions | None = None) -> SolveResult:
-    """Solve the instance with the backend named in the options."""
+def solve_milp(instance: MilpInstance, options: SolveOptions | None = None,
+               warm_start=None) -> SolveResult:
+    """Solve the instance with the backend named in the options.
+
+    ``warm_start`` is the ``basis`` of an earlier result on the same
+    backend; the relaxation starts from it when its shape fits the
+    instance's. The oracle ignores it.
+    """
     options = options or SolveOptions()
     if options.backend == "external":
-        return solve_external(instance, options)
+        return solve_external(instance, options, warm_start)
     if options.backend == "oracle":
         return oracle_enumerate(instance)
-    return solve_reference(instance, options)
+    return solve_reference(instance, options, warm_start)
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +209,14 @@ def _rounding_dive(instance: MilpInstance, x: np.ndarray, lp):
     return res if res.status == "optimal" else None
 
 
-def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResult:
+def solve_reference(instance: MilpInstance, options: SolveOptions,
+                    warm_start=None) -> SolveResult:
     """Best-bound branch and bound over the bounded-simplex LP core.
 
-    The root is the first node (the instance's bounds, a cold start, bound
-    -inf) and is solved once; a fractional root runs the rounding dive before
-    it branches.
+    The root is the first node (the instance's bounds, bound -inf) and is
+    solved once, from ``warm_start`` when it is a ``(basis, col_status)``
+    pair of this instance's shape and cold otherwise; a fractional root runs
+    the rounding dive before it branches.
     """
     deadline = (None if options.time_limit is None
                 else time.perf_counter() + options.time_limit)
@@ -206,9 +226,10 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
     iterations = 0
 
     def lp(lower, upper, warm=None):
+        """An LP over these bounds, from the ``(basis, col_status)`` pair
+        ``warm`` when given; a singular warm start is solved again cold."""
         nonlocal iterations
-        basis = warm.basis if warm is not None else None
-        col_status = warm.col_status if warm is not None else None
+        basis, col_status = warm if warm is not None else (None, None)
         try:
             res = simplex_solve(form, instance.objective, lower, upper,
                                 basis=basis, col_status=col_status, deadline=deadline)
@@ -227,8 +248,13 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
         if incumbent_obj is None or obj < incumbent_obj - 1e-12 * max(1.0, abs(obj)):
             incumbent_obj, incumbent_x = obj, x.copy()
 
-    # (bound, -depth, counter, lower, upper, parent's LpResult as the warm start)
-    heap: list[tuple] = [(-np.inf, 0, 0, instance.col_lower, instance.col_upper, None)]
+    fits = (isinstance(warm_start, tuple) and len(warm_start) == 2
+            and len(warm_start[0]) == instance.n_rows
+            and len(warm_start[1]) == instance.n_rows + instance.n_cols)
+    root_basis = None
+    # (bound, -depth, counter, lower, upper, the parent's (basis, col_status))
+    heap: list[tuple] = [(-np.inf, 0, 0, instance.col_lower, instance.col_upper,
+                          warm_start if fits else None)]
     counter = 0
     nodes = 0
     status = "optimal"
@@ -258,6 +284,9 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
             raise SolverError("LP relaxation is unbounded; the sizing model is "
                               "bounded below by construction, so the instance is "
                               "outside the solver contract")
+        warm = (res.basis, res.col_status)
+        if not depth:
+            root_basis = warm
         if incumbent_obj is not None and res.objective >= incumbent_obj - 1e-12 * max(
                 1.0, abs(incumbent_obj)):
             continue
@@ -267,14 +296,14 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
             try_incumbent(res.objective, res.x)
             continue
         if not depth:  # the root dives for an incumbent before it branches
-            dive = _rounding_dive(instance, res.x, lambda lower, upper: lp(lower, upper, res))
+            dive = _rounding_dive(instance, res.x, lambda lower, upper: lp(lower, upper, warm))
             if dive is not None:
                 try_incumbent(dive.objective, dive.x)
         pick = int(binaries[np.argmax(away)])  # most fractional, lowest index on ties
         for value in (0.0, 1.0):
             counter += 1
             heapq.heappush(heap, (res.objective, -(depth + 1), counter,
-                                  *_fixed(lower, upper, pick, value), res))
+                                  *_fixed(lower, upper, pick, value), warm))
     else:
         if incumbent_obj is not None:
             best_bound = incumbent_obj  # every node processed or pruned: bound closed
@@ -282,14 +311,14 @@ def solve_reference(instance: MilpInstance, options: SolveOptions) -> SolveResul
     if incumbent_obj is None:
         return SolveResult("time_limit" if status == "time_limit" else "infeasible",
                            None, None, achieved_gap=np.inf, nodes=nodes,
-                           iterations=iterations, node_log=log)
+                           iterations=iterations, node_log=log, basis=root_basis)
     achieved = _gap(incumbent_obj, best_bound)
     if status != "time_limit":
         status = "optimal" if achieved <= 1e-12 else "gap_optimal"
     incumbent_x = incumbent_x[:instance.n_cols].copy()
     return SolveResult(status, float(incumbent_obj), incumbent_x,
                        achieved_gap=achieved, nodes=nodes,
-                       iterations=iterations, node_log=log)
+                       iterations=iterations, node_log=log, basis=root_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +392,16 @@ def oracle_enumerate(instance: MilpInstance) -> SolveResult:
 
 def _highs_model(instance: MilpInstance, highs):
     """A silent HiGHS model of the LP relaxation, presolve on, filled from buffers
-    through the positional ``passModel`` overload; ``highs`` is scipy's binding."""
+    through the positional ``passModel`` overload; ``highs`` is scipy's binding.
+
+    The dual simplex prices with Devex, which on the sizing LPs takes fewer
+    iterations than HiGHS's default choice, cold and warm.
+    """
     matrix = instance.matrix.tocsc()
     model = highs._Highs()
     model.setOptionValue("output_flag", False)
     model.setOptionValue("presolve", "on")
+    model.setOptionValue("simplex_dual_edge_weight_strategy", 1)
     model.passModel(instance.n_cols, instance.n_rows, matrix.nnz,
                     highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
                     instance.objective, instance.col_lower, instance.col_upper,
@@ -376,29 +410,45 @@ def _highs_model(instance: MilpInstance, highs):
     return model
 
 
-def solve_external(instance: MilpInstance, options: SolveOptions) -> SolveResult:
+def solve_external(instance: MilpInstance, options: SolveOptions,
+                   warm_start=None) -> SolveResult:
     """Solve with scipy's HiGHS behind the common result contract.
 
     The relaxation, the dive LP and, when the dive misses the gap, HiGHS's
     MIP search all run on one HiGHS model, the binaries made integer for
-    the search. ``time_limit`` is one deadline over every run.
+    the search. The relaxation starts from ``warm_start`` when it is a
+    ``HighsBasis`` of this instance's shape; HiGHS starts cold when it
+    rejects it. ``time_limit`` is one deadline over every run, and
+    ``iterations`` counts the simplex iterations of every run.
     """
     from scipy.optimize._highspy import _core as highs
 
     deadline = (None if options.time_limit is None
                 else time.perf_counter() + options.time_limit)
     model = _highs_model(instance, highs)
+    if (isinstance(warm_start, highs.HighsBasis)
+            and len(warm_start.col_status) == instance.n_cols
+            and len(warm_start.row_status) == instance.n_rows):
+        model.setBasis(warm_start)
     binaries = instance.binary_indices
     optimal = highs.HighsModelStatus.kOptimal
     limits = (highs.HighsModelStatus.kTimeLimit, highs.HighsModelStatus.kIterationLimit)
+    iterations = 0
+    basis = None
+
+    def result(status, objective=None, x=None, **fields):
+        return SolveResult(status, objective, x, iterations=iterations, basis=basis,
+                           **fields)
 
     def run():
         """The model's next run, held to the time that remains: its status."""
+        nonlocal iterations
         if deadline is not None:
             # HiGHS counts time_limit over every run of one model.
             model.setOptionValue("time_limit", model.getRunTime()
                                  + max(0.0, deadline - time.perf_counter()))
         model.run()
+        iterations += max(0, model.getInfo().simplex_iteration_count)
         return model.getModelStatus()
 
     def lp_run(lower, upper):
@@ -412,12 +462,13 @@ def solve_external(instance: MilpInstance, options: SolveOptions) -> SolveResult
 
     relaxation = lp_run(instance.col_lower, instance.col_upper)
     if relaxation.ok:
+        basis = model.getBasis()
         dive = _rounding_dive(instance, relaxation.x, lp_run)
         if dive is not None:
             gap = _gap(dive.objective, relaxation.objective)
             if gap <= options.relative_gap:
-                return SolveResult("optimal" if gap <= 1e-12 else "gap_optimal",
-                                   dive.objective, dive.x, achieved_gap=gap)
+                return result("optimal" if gap <= 1e-12 else "gap_optimal",
+                              dive.objective, dive.x, achieved_gap=gap)
 
     def has_point(status):
         # At a limit, only a MIP run's finite objective is an incumbent's.
@@ -435,7 +486,7 @@ def solve_external(instance: MilpInstance, options: SolveOptions) -> SolveResult
         model.changeColsCost(instance.n_cols, np.arange(instance.n_cols),
                              np.zeros(instance.n_cols))
         if not has_point(run()):
-            return SolveResult("infeasible", None, None, achieved_gap=np.inf)
+            return result("infeasible", achieved_gap=np.inf)
     if status in (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kUnbounded):
         raise SolverError("external backend reports unbounded; the sizing "
                           "model is bounded below, so the instance violates "
@@ -444,11 +495,11 @@ def solve_external(instance: MilpInstance, options: SolveOptions) -> SolveResult
         raise SolverError("external backend failed: HiGHS status "
                           f"{model.modelStatusToString(status)!r}")
     if not has_point(status):
-        return SolveResult("time_limit", None, None, achieved_gap=np.inf)
+        return result("time_limit", achieved_gap=np.inf)
     info = model.getInfo()
     # A run with no binaries is an LP's: no MIP gap (inf) and no nodes (-1).
     gap, nodes = (info.mip_gap, info.mip_node_count) if len(binaries) else (0.0, 0)
     outcome = ("time_limit" if status != optimal
                else "optimal" if gap <= 1e-12 else "gap_optimal")
-    return SolveResult(outcome, info.objective_function_value,
-                       np.array(model.getSolution().col_value), achieved_gap=gap, nodes=nodes)
+    return result(outcome, info.objective_function_value,
+                  np.array(model.getSolution().col_value), achieved_gap=gap, nodes=nodes)

@@ -4,8 +4,12 @@ A study reproduces the four-case experimental protocol (base, PV only,
 storage only, full DER) on one annual profile and writes, per case, the
 sizing/cost summary row, hourly dispatch and curtailment series and an
 audit transcript. Outputs are plain CSV/text with fixed float formatting
-and no timestamps, so identical inputs give byte-identical files; cases
-are independent solves and run in a fixed order.
+and no timestamps, so identical inputs give byte-identical files. Cases
+run one at a time in a fixed order, and each case's relaxation starts from
+the optimal basis of its twin: the last solved case whose instance has the
+same shape. Case 1 is case 0's instance and case 3 is case 2's, but for the
+PV size bound. A case run without its twin (``--cases 3`` alone) starts
+cold and may end at another optimal dispatch, within the gap.
 
 Demand-charge convention: per-day charges scale by the annual demand
 weight (monthly billing by default); every audit header repeats this.
@@ -269,6 +273,8 @@ def run_study(config: StudyConfig) -> StudyOutcome:
     out.mkdir(parents=True, exist_ok=True)
 
     outcomes: dict[int, CaseOutcome] = {}
+    # (n_rows, n_cols) -> the relaxation basis of the last case of that shape that solved
+    twin_basis: dict[tuple[int, int], object] = {}
     solve_failed = False
     audit_flagged = False
     for case_number in config.cases:
@@ -276,7 +282,8 @@ def run_study(config: StudyConfig) -> StudyOutcome:
             instance = build_model(scenario_set, config.catalog, tariff,
                                    CaseSpec.from_number(case_number),
                                    soc_boundary=config.soc_boundary)
-            raw = solve_milp(instance, config.solve)
+            shape = (instance.n_rows, instance.n_cols)
+            raw = solve_milp(instance, config.solve, warm_start=twin_basis.get(shape))
         except DersizerError as exc:
             solve_failed = True
             outcomes[case_number] = CaseOutcome(case_number, None, None,
@@ -287,6 +294,8 @@ def run_study(config: StudyConfig) -> StudyOutcome:
             outcomes[case_number] = CaseOutcome(case_number, None, None,
                                                 error=f"solve status {raw.status}")
             continue
+        if raw.basis is not None:
+            twin_basis[shape] = raw.basis
         solution = extract_solution(instance, raw)
         audit = check_solution(solution, scenario_set, config.catalog, tariff)
         if not audit.ok:

@@ -414,8 +414,18 @@ def test_instance_arrays_are_read_only_copies():
     ({"matrix": sp.csr_matrix([[np.inf, 1.0]])}, "non-finite constraint coefficient"),
     ({"objective": np.array([1e21, 1.0])},
      r"objective coefficient 1e\+21 of x0 is at or above HiGHS's infinite cost"),
+    ({"col_upper": np.array([1e21, 1.0])},
+     r"upper bound 1e\+21 of x0 is at or above HiGHS's infinite bound 1e\+20"),
+    ({"col_lower": np.array([-1e20, 0.0])},
+     r"lower bound -1e\+20 of x0 is at or above HiGHS's infinite bound"),
+    ({"rhs": np.array([1e20])}, r"rhs 1e\+20 of r0 is at or above HiGHS's infinite bound"),
+    ({"matrix": sp.csr_matrix([[1e16, 1.0]])},
+     r"coefficient 1e\+16 of x0 in row r0 is at or above HiGHS's large matrix value "
+     r"1e\+15"),
 ], ids=["duplicate-name", "binary-above-1", "bad-sense", "nan-rhs", "inf-objective",
-        "inf-coefficient", "cost-at-highs-infinity"])
+        "inf-coefficient", "cost-at-highs-infinity", "bound-at-highs-infinity",
+        "lower-bound-at-highs-infinity", "rhs-at-highs-infinity",
+        "coefficient-at-highs-large-value"])
 def test_instance_validation_names_the_fault(fault, message):
     instance = dense_instance([1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [[1.0, 1.0]],
                               [LE], [1.0], binary=[False, True])

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -555,3 +556,87 @@ def test_external_dive_that_is_not_optimal_falls_back_to_milp(monkeypatch, statu
     assert len(runs) == 3
     _assert_is_the_mip_run(inst, runs[2])
     _assert_is_the_direct_milp(res, _direct_milp(inst, 0.0))
+
+
+def test_external_iterations_count_every_highs_run(case3_k2, monkeypatch):
+    counts = []
+    runs = _record_highs_runs(
+        monkeypatch, lambda model: counts.append(model.getInfo().simplex_iteration_count))
+    res = solve_milp(case3_k2, SolveOptions(relative_gap=0.0, backend="external"))
+    assert res.status == "optimal" and len(runs) == 2     # the relaxation and the dive
+    assert res.iterations > 0
+    assert res.iterations == counts[0] + counts[1]
+
+
+def test_external_model_prices_the_dual_simplex_with_devex(case3_k2):
+    # setOptionValue reports an unknown option by status, not by raising, so
+    # read the value back: on every supported scipy the option must exist.
+    from scipy.optimize._highspy import _core as highs
+    model = solver._highs_model(case3_k2, highs)
+    status, value = model.getOptionValue("simplex_dual_edge_weight_strategy")
+    assert status == highs.HighsStatus.kOk and value == 1
+
+
+@pytest.fixture(scope="module")
+def cases_k2(days_k2, table_catalog, default_tariff):
+    return [build_model(days_k2, table_catalog, default_tariff, CaseSpec.from_number(c))
+            for c in range(4)]
+
+
+# At k=2, case 1's HiGHS relaxation takes 19 iterations cold and 35 from
+# case 0's basis; every other twin start takes fewer (case 3: 819 -> 84 on
+# external, 864 -> 134 on reference).
+@pytest.mark.parametrize("backend, twin, case, fewer", [
+    ("reference", 0, 1, True), ("reference", 2, 3, True),
+    ("external", 0, 1, False), ("external", 2, 3, True)])
+def test_a_case_started_from_its_twin_basis_reaches_the_cold_answer(
+        cases_k2, days_k2, table_catalog, default_tariff, backend, twin, case, fewer):
+    options = SolveOptions(relative_gap=1e-4, backend=backend)
+    basis = solve_milp(cases_k2[twin], options).basis
+    assert basis is not None
+    cold = solve_milp(cases_k2[case], options)
+    warm = solve_milp(cases_k2[case], options, warm_start=basis)
+    assert warm.ok and warm.nodes == 0
+    assert abs(warm.objective - cold.objective) <= 1e-4 * abs(cold.objective)
+    report = check_solution(extract_solution(cases_k2[case], warm), days_k2,
+                            table_catalog, default_tariff)
+    assert report.ok, report.to_text()
+    if fewer:
+        assert warm.iterations < cold.iterations
+
+
+def _unusable_basis(cases_k2, backend, fault):
+    """A basis that case 3 of ``cases_k2`` cannot start from on ``backend``."""
+    options = SolveOptions(relative_gap=1e-4, backend=backend)
+    if fault == "shape":
+        return solve_milp(cases_k2[0], options).basis
+    if fault == "backend":
+        other = "external" if backend == "reference" else "reference"
+        return solve_milp(cases_k2[2], replace(options, backend=other)).basis
+    basis = solve_milp(cases_k2[2], options).basis
+    if fault == "singular":
+        columns, col_status = basis
+        columns = columns.copy()
+        columns[1] = columns[0]               # one column twice
+        return columns, col_status
+    from scipy.optimize._highspy import _core as highs
+    basis.row_status = [highs.HighsBasisStatus.kLower] * cases_k2[2].n_rows  # no basics
+    return basis
+
+
+@pytest.mark.parametrize("backend, fault", [
+    ("reference", "shape"), ("reference", "backend"), ("reference", "singular"),
+    ("external", "shape"), ("external", "backend"), ("external", "rejected")])
+def test_an_unusable_basis_gives_the_cold_start(cases_k2, backend, fault):
+    options = SolveOptions(relative_gap=1e-4, backend=backend)
+    cold = solve_milp(cases_k2[3], options)
+    res = solve_milp(cases_k2[3], options,
+                     warm_start=_unusable_basis(cases_k2, backend, fault))
+    assert res.objective == cold.objective and res.iterations == cold.iterations
+    np.testing.assert_array_equal(res.x, cold.x)
+
+
+def test_oracle_ignores_a_warm_start():
+    inst, _ = _tiny_instance(0)
+    basis = solve_milp(inst, SolveOptions(backend="reference")).basis
+    assert solve_milp(inst, SolveOptions(backend="oracle"), warm_start=basis).basis is None

@@ -254,6 +254,7 @@ def test_cli_propagates_solve_failure(tmp_path, small_profile_path):
     ({"weights": {"annual_day_weight": float("inf")}}, 3),
     ({"tariff": {"energy_price": [0.1] * 24, "peak_cap": float("inf")}}, 0),
     ({"catalog": {"c_pv": 1e21}}, 1),
+    ({"tariff": {"energy_price": [0.1] * 24, "peak_cap": 1e21}}, 1),
 ])
 def test_cli_validate_exits_as_run_does(tmp_path, small_profile_path, overrides, code):
     config_path = _config_file(tmp_path, small_profile_path, cases=[0], **overrides)
@@ -304,3 +305,26 @@ def test_cli_run_reports_a_negative_capacity_as_an_audit_failure(
     out = tmp_path / "out"
     assert (out / "results.csv").exists()
     assert "capacity_nonneg [sizing]" in (out / "audit_case0.txt").read_text()
+
+
+@pytest.mark.parametrize("backend", ["reference", "external"])
+def test_run_study_starts_each_case_from_its_twin_basis(tmp_path, small_profile_path,
+                                                        monkeypatch, backend):
+    # Case 1 has case 0's shape and case 3 has case 2's; a case with no
+    # solved case of its shape before it starts cold.
+    real = study.solve_milp
+    calls = []
+
+    def solve_milp(instance, options, warm_start=None):
+        calls.append((warm_start, real(instance, options, warm_start=warm_start)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(study, "solve_milp", solve_milp)
+    config = StudyConfig.from_file(_config_file(
+        tmp_path, small_profile_path, cases=[0, 1, 2, 3],
+        solve={"backend": backend, "relative_gap": 1e-4}))
+    assert run_study(config).exit_code == 0
+    (start0, case0), (start1, _), (start2, case2), (start3, _) = calls
+    assert start0 is None and start2 is None
+    assert start1 is case0.basis is not None
+    assert start3 is case2.basis is not None
