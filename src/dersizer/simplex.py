@@ -2,11 +2,13 @@
 
 The solver works on the equality form ``A x + s = b`` where one logical
 column per row carries the row sense in its bounds. The basis inverse is
-held as a sparse LU factorization plus a product-form eta file, refreshed
-every ``REFACTOR_INTERVAL`` pivots. The eta file is a dense block of eta
-columns with the inverse of its small triangular coupling matrix, so a
-solve applies every eta at once with two small matrix products instead of
-one Python step per eta. Entering columns are read straight from the CSC
+held as a factored basis plus a product-form eta file, refreshed every
+``REFACTOR_INTERVAL`` pivots. A refactor eliminates the basic logical
+columns and factors only the kernel of the basic structural columns by
+sparse LU (see ``_Factor``). The eta file is a dense block of eta columns
+with the inverse of its small triangular coupling matrix, so a solve
+applies every eta at once with two small matrix products instead of one
+Python step per eta. Entering columns are read straight from the CSC
 arrays of the standard form.
 
 Dual phase. Every solve, cold or warm, starts with a bounded-variable dual
@@ -72,7 +74,8 @@ _ENTER_RATE = np.array([[0.0, 0.0],       # BASIC
                         [0.0, -1.0],      # AT_UPPER
                         [1.0, -1.0]])     # FREE
 
-# Chosen with the benchmark over 16, 32, 48, 64, 96 and 128 (CHANGES.md).
+# Chosen with the benchmark over 16, 32, 48, 64, 96 and 128, and checked
+# again over 32-96 once refactors factored only the kernel (CHANGES.md).
 REFACTOR_INTERVAL = 64
 STALL_LIMIT = 300
 PIVOT_TOL = 1e-9
@@ -123,38 +126,99 @@ def standardize(instance: MilpInstance) -> StandardForm:
 
 
 class _Factor:
-    """Basis inverse as sparse LU plus a product-form eta file.
+    """Basis inverse as a factored structural kernel plus a product-form eta file.
+
+    The basis ``B0`` of the last refactor is split by the kind of its basic
+    columns. A basic logical (a unit column) covers its row; ``rows_s`` are
+    the rows left uncovered and ``pos_s`` the positions of the basic
+    structurals ``S``, as many of each in a nonsingular basis. Only the
+    kernel ``K = A[rows_s, S]`` is factored by sparse LU. The border ``C``,
+    the entries of ``S`` on covered rows, is kept as triplets: row
+    ``c_row``, the position ``c_pos`` of that row's logical, kernel column
+    ``c_col`` and value ``c_val``. Then ``B0 w = v`` is
+    ``w_S = K^-1 v[rows_s]`` and ``w_L = v_L - C w_S``, and ``B0^T y = v``
+    is ``y_L = v_L`` and ``y[rows_s] = K^-T (v_S - C^T v_L)``, with ``_L``
+    the covered rows and their logicals' positions (Suhl and Suhl, ORSA J.
+    Computing 2(4), 1990). An all-logical basis, the cold start, factors
+    nothing.
 
     The eta file is applied in one batch. Row k of ``etas`` holds
     ``w_k - e_{r_k}`` for the pivot of ``w_k = B_k^-1 a_in`` on row ``r_k``,
-    so ``B^-1 = (I - W L^-1 R^T) LU^-1`` with ``W`` = ``etas.T``, ``R`` the
+    so ``B^-1 = (I - W L^-1 R^T) B0^-1`` with ``W`` = ``etas.T``, ``R`` the
     pivot rows as unit columns and ``L`` lower triangular:
     ``L[k, k] = w_k[r_k]`` and ``L[k, i] = etas[i, r_k]`` for ``i < k``.
     ``L^-1`` is kept explicitly and grows by one row per update; its upper
     triangle is never written and stays zero.
     """
 
-    def __init__(self, matrix: sp.csc_matrix, basis: np.ndarray):
+    def __init__(self, matrix: sp.csc_matrix, basis: np.ndarray, n_struct: int):
         self.matrix = matrix
+        self.n_struct = n_struct
         self.etas = np.empty((REFACTOR_INTERVAL, len(basis)))
         self.rows = np.empty(REFACTOR_INTERVAL, dtype=np.int64)
         self.l_inv = np.zeros((REFACTOR_INTERVAL, REFACTOR_INTERVAL))
         self.refactor(basis)
 
     def refactor(self, basis: np.ndarray) -> None:
-        # Gather the basis columns straight from the CSC arrays in one step.
-        indptr = self.matrix.indptr
-        starts = indptr[basis]
-        counts = indptr[basis + 1] - starts
+        m, n = len(basis), self.n_struct
+        logical = basis >= n
+        self.pos_s = np.flatnonzero(~logical)
+        n_s = len(self.pos_s)
+        # lpos[i]: the basis position of row i's logical, or -1 for a kernel
+        # row; src[p]: the row a logical at position p covers, or -1. Either
+        # -1 gathers a junk entry that the kernel solve then overwrites.
+        self.lpos = np.full(m, -1)
+        self.lpos[basis[logical] - n] = np.flatnonzero(logical)
+        self.src = np.where(logical, basis - n, -1)
+        self.rows_s = np.flatnonzero(self.lpos < 0)
+        if len(self.rows_s) != n_s:
+            raise NumericalError(f"singular basis: {n_s} structural columns "
+                                 f"against {len(self.rows_s)} uncovered rows")
+        # Gather the structural columns straight from the CSC arrays in one
+        # step, then split their entries into kernel and border by row.
+        indptr, structurals = self.matrix.indptr, basis[self.pos_s]
+        starts = indptr[structurals]
+        counts = indptr[structurals + 1] - starts
         ptr = np.concatenate(([0], np.cumsum(counts)))
         take = np.repeat(starts - ptr[:-1], counts) + np.arange(ptr[-1])
-        b = sp.csc_matrix((self.matrix.data[take], self.matrix.indices[take], ptr),
-                          shape=(len(basis), len(basis)))
-        try:
-            self.lu = splu(b)
-        except RuntimeError as exc:
-            raise NumericalError(f"singular basis: {exc}") from exc
+        rows, values = self.matrix.indices[take], self.matrix.data[take]
+        owner = self.lpos[rows]
+        in_kernel = owner < 0
+        border = ~in_kernel
+        self.c_pos, self.c_row, self.c_val = owner[border], rows[border], values[border]
+        self.c_col = np.repeat(np.arange(n_s), counts)[border]
+        self.lu = None
+        if n_s:
+            rank = np.empty(m, dtype=np.int64)
+            rank[self.rows_s] = np.arange(n_s)
+            kernel = sp.csc_matrix(
+                (values[in_kernel], rank[rows[in_kernel]],
+                 np.concatenate(([0], np.cumsum(in_kernel)))[ptr]), shape=(n_s, n_s))
+            try:
+                self.lu = splu(kernel)
+            except RuntimeError as exc:
+                raise NumericalError(f"singular basis: {exc}") from exc
         self.age = 0
+
+    def _solve(self, v: np.ndarray) -> np.ndarray:
+        """``B0^-1 v``: logicals take their row's entry, less the border
+        times the kernel's solution."""
+        y = v[self.src]
+        if self.lu is not None:
+            w_s = self.lu.solve(v[self.rows_s])
+            y[self.pos_s] = w_s
+            y -= np.bincount(self.c_pos, self.c_val * w_s[self.c_col], minlength=len(y))
+        return y
+
+    def _solve_t(self, v: np.ndarray) -> np.ndarray:
+        """``B0^-T v``: covered rows take their logical's entry, and the
+        kernel rows solve against the rest less the border's share."""
+        y = v[self.lpos]
+        if self.lu is not None:
+            y[self.rows_s] = self.lu.solve(
+                v[self.pos_s] - np.bincount(self.c_col, self.c_val * y[self.c_row],
+                                            minlength=len(self.pos_s)), trans="T")
+        return y
 
     def update(self, row: int, w: np.ndarray) -> None:
         """Record the pivot of ``w = B^-1 a_in`` on ``row``."""
@@ -167,7 +231,7 @@ class _Factor:
         self.age = k + 1
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
-        y = self.lu.solve(v)
+        y = self._solve(v)
         k = self.age
         if k:
             y -= (self.l_inv[:k, :k] @ y[self.rows[:k]]) @ self.etas[:k]
@@ -178,7 +242,7 @@ class _Factor:
         if k:
             s = (self.etas[:k] @ v) @ self.l_inv[:k, :k]
             v = v - np.bincount(self.rows[:k], s, minlength=len(v))
-        return self.lu.solve(v, trans="T")
+        return self._solve_t(v)
 
     def btran_unit(self, r: int) -> np.ndarray:
         """Row ``r`` of ``B^-1``: ``btran(e_r)``, with the eta block's product
@@ -189,7 +253,7 @@ class _Factor:
         if k:
             v -= np.bincount(self.rows[:k], self.etas[:k, r] @ self.l_inv[:k, :k],
                              minlength=len(v))
-        return self.lu.solve(v, trans="T")
+        return self._solve_t(v)
 
 
 def _cold_start(form: StandardForm, lower: np.ndarray, upper: np.ndarray):
@@ -242,7 +306,7 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
         status[basis] = BASIC
 
     x = _nonbasic_values(status, l_full, u_full)
-    factor = _Factor(form.matrix, basis)
+    factor = _Factor(form.matrix, basis, form.n_struct)
     indptr, indices, data = form.matrix.indptr, form.matrix.indices, form.matrix.data
     movable = (u_full - l_full) > 0.0
     # (rate_up[j], rate_dn[j]) is _ENTER_RATE[status[j]], or zero for a fixed column.

@@ -346,31 +346,73 @@ def test_fixed_columns_are_respected():
     assert res.x[1] == pytest.approx(3.0, abs=1e-9)
 
 
+def _factor_matrix(m=30, n=60, seed=7):
+    """``[A | I]`` whose leading m x m block of A has a full diagonal, so any
+    principal part of it gives a usable structural basis."""
+    rng = np.random.default_rng(seed)
+    a = sp.random(m, n, density=0.15, random_state=rng, format="lil",
+                  data_rvs=lambda k: rng.uniform(1.0, 2.0, k) * rng.choice([-1.0, 1.0], k))
+    a[np.arange(m), np.arange(m)] = 3.0
+    return sp.hstack([a.tocsc(), sp.identity(m, format="csc")], format="csc"), rng
+
+
 def test_factor_solves_match_dense_across_refactors():
     from dersizer.simplex import REFACTOR_INTERVAL, _Factor
 
-    rng = np.random.default_rng(7)
     m, n = 30, 60
-    a = sp.random(m, n, density=0.15, random_state=rng, format="csc",
-                  data_rvs=lambda k: rng.uniform(1.0, 2.0, k) * rng.choice([-1.0, 1.0], k))
-    matrix = sp.hstack([a, sp.identity(m, format="csc")], format="csc")
-    basis = np.arange(n, n + m)
-    factor = _Factor(matrix, basis)
-    for _ in range(2 * REFACTOR_INTERVAL + 3):
-        if factor.age >= REFACTOR_INTERVAL:
-            factor.refactor(basis)
-        # A nonbasic column enters on the row of its largest pivot, which
-        # keeps the basis well conditioned after every update.
-        w = np.zeros(m)
-        while np.abs(w).max() < 0.5:
-            j = int(rng.choice(np.setdiff1d(np.arange(n + m), basis)))
-            w = factor.ftran(matrix[:, j].toarray().ravel())
-        r = int(np.argmax(np.abs(w)))
-        basis[r] = j
-        factor.update(r, w)
-        dense = matrix[:, basis].toarray()
-        v = rng.normal(size=m)
-        np.testing.assert_allclose(factor.ftran(v), np.linalg.solve(dense, v),
-                                   rtol=1e-9, atol=1e-9 * np.abs(v).max())
-        np.testing.assert_allclose(factor.btran(v), np.linalg.solve(dense.T, v),
-                                   rtol=1e-9, atol=1e-9 * np.abs(v).max())
+    for start in ("logical", "structural", "mixed"):
+        matrix, rng = _factor_matrix(m, n)
+        # The start basis, in shuffled positions: all logicals, the
+        # structural block's columns, or half of each on complementary rows.
+        basis = {"logical": np.arange(n, n + m),
+                 "structural": np.arange(m),
+                 "mixed": np.r_[np.arange(m // 2), n + np.arange(m // 2, m)]}[start]
+        basis = rng.permutation(basis)
+        factor = _Factor(matrix, basis, n)
+        assert (factor.lu is None) == (start == "logical")
+
+        def check():
+            dense = matrix[:, basis].toarray()
+            v = rng.normal(size=m)
+            tol = {"rtol": 1e-9, "atol": 1e-9 * np.abs(v).max()}
+            np.testing.assert_allclose(factor.ftran(v), np.linalg.solve(dense, v), **tol)
+            np.testing.assert_allclose(factor.btran(v), np.linalg.solve(dense.T, v), **tol)
+            inverse = np.linalg.inv(dense)
+            for r in rng.choice(m, 5, replace=False):
+                np.testing.assert_allclose(factor.btran_unit(int(r)), inverse[r],
+                                           rtol=1e-9, atol=1e-9)
+
+        check()
+        refactors = 0
+        for _ in range(3 * REFACTOR_INTERVAL + 3):
+            if factor.age >= REFACTOR_INTERVAL:
+                factor.refactor(basis)
+                refactors += 1
+                check()
+            # A nonbasic column enters on the row of its largest pivot, which
+            # keeps the basis well conditioned after every update.
+            w = np.zeros(m)
+            while np.abs(w).max() < 0.5:
+                j = int(rng.choice(np.setdiff1d(np.arange(n + m), basis)))
+                w = factor.ftran(matrix[:, j].toarray().ravel())
+            r = int(np.argmax(np.abs(w)))
+            basis[r] = j
+            factor.update(r, w)
+            check()
+        assert refactors == 3
+
+
+@pytest.mark.parametrize("twice", ["logical", "structural"])
+def test_a_basis_with_a_column_twice_is_singular(twice):
+    from dersizer.errors import NumericalError
+    from dersizer.simplex import _Factor
+
+    m, n = 30, 60
+    matrix, _ = _factor_matrix(m, n)
+    basis = np.r_[np.arange(m // 2), n + np.arange(m // 2, m)]
+    if twice == "logical":
+        basis[-1] = basis[-2]     # one row left uncovered: the kernel is not square
+    else:
+        basis[1] = basis[0]       # square, with two equal kernel columns
+    with pytest.raises(NumericalError, match="singular basis"):
+        _Factor(matrix, basis, n)

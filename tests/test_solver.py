@@ -614,10 +614,15 @@ def _unusable_basis(cases_k2, backend, fault):
         other = "external" if backend == "reference" else "reference"
         return solve_milp(cases_k2[2], replace(options, backend=other)).basis
     basis = solve_milp(cases_k2[2], options).basis
-    if fault == "singular":
+    if fault in ("singular", "logical-twice", "structural-twice"):
         columns, col_status = basis
         columns = columns.copy()
-        columns[1] = columns[0]               # one column twice
+        if fault == "singular":
+            columns[1] = columns[0]           # one column twice
+        else:                                 # one logical, or one structural, twice
+            kind = columns >= cases_k2[2].n_cols
+            first, second = np.flatnonzero(kind if fault == "logical-twice" else ~kind)[:2]
+            columns[second] = columns[first]
         return columns, col_status
     from scipy.optimize._highspy import _core as highs
     basis.row_status = [highs.HighsBasisStatus.kLower] * cases_k2[2].n_rows  # no basics
@@ -626,6 +631,7 @@ def _unusable_basis(cases_k2, backend, fault):
 
 @pytest.mark.parametrize("backend, fault", [
     ("reference", "shape"), ("reference", "backend"), ("reference", "singular"),
+    ("reference", "logical-twice"), ("reference", "structural-twice"),
     ("external", "shape"), ("external", "backend"), ("external", "rejected")])
 def test_an_unusable_basis_gives_the_cold_start(cases_k2, backend, fault):
     options = SolveOptions(relative_gap=1e-4, backend=backend)
