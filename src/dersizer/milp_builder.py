@@ -42,7 +42,6 @@ concurrently.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import fields
 from functools import lru_cache
 from numbers import Real
@@ -105,7 +104,7 @@ def _layout(start: int, n_s: int,
     itself (``{family}_s{s}``) when ``first`` is None. Scenario ``s`` holds
     its sections in order and follows scenario ``s - 1``; the first item
     has index ``start``. Returns each family's (S, count) index array and
-    the interned names in index order.
+    the names in index order.
     """
     width = sum(len(families) * count for families, _, count in sections)
     index, offset = {}, start
@@ -118,7 +117,7 @@ def _layout(start: int, n_s: int,
              for tag in ([f"_s{s}"] if first is None else
                          [f"_s{s}_t{t}" for t in range(first, first + count)])
              for family in families)
-    return index, tuple(map(sys.intern, names))  # names repeat across instances
+    return index, tuple(names)
 
 
 def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,

@@ -33,9 +33,6 @@ class CaseSpec:
     def number(self) -> int:
         return int(self.allow_pv) + 2 * int(self.allow_es)
 
-    def __str__(self) -> str:
-        return f"case{self.number}"
-
 
 @dataclass(frozen=True)
 class GridDispatch:

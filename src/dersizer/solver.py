@@ -66,8 +66,8 @@ BACKENDS = ("reference", "external", "oracle")
 
 
 def _nonnegative(value) -> bool:
-    """Whether ``value`` is a real number >= 0: not a bool, a string or NaN."""
-    return is_real(value) and value >= 0
+    """Whether ``value`` is a finite real number >= 0: not a bool, a string or NaN."""
+    return is_real(value) and 0 <= value < np.inf
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,10 @@ class SolveOptions:
 
     def __post_init__(self):
         if not _nonnegative(self.relative_gap):
-            raise SolverError(f"relative_gap must be nonnegative, got {self.relative_gap!r}")
+            raise SolverError("relative_gap must be finite and >= 0, "
+                              f"got {self.relative_gap!r}")
         if self.time_limit is not None and not _nonnegative(self.time_limit):
-            raise SolverError("time_limit must be None or nonnegative seconds, "
+            raise SolverError("time_limit must be None or finite seconds >= 0, "
                               f"got {self.time_limit!r}")
         if self.backend not in BACKENDS:
             raise SolverError(f"backend must be one of {BACKENDS}")
@@ -143,8 +144,9 @@ def solve_milp(instance: MilpInstance, options: SolveOptions | None = None,
     """Solve the instance with the backend named in the options.
 
     ``warm_start`` is the ``basis`` of an earlier result on the same
-    backend; the relaxation starts from it when its shape fits the
-    instance's. The oracle ignores it.
+    backend. The relaxation starts from it only when it comes from an
+    instance of this one's shape, and cold otherwise, so a study can offer
+    each case the last solved case's basis. The oracle ignores it.
     """
     options = options or SolveOptions()
     if options.backend == "external":

@@ -5,11 +5,12 @@ storage only, full DER) on one annual profile and writes, per case, the
 sizing/cost summary row, hourly dispatch and curtailment series and an
 audit transcript. Outputs are plain CSV/text with fixed float formatting
 and no timestamps, so identical inputs give byte-identical files. Cases
-run one at a time in a fixed order, and each case's relaxation starts from
-the optimal basis of its twin: the last solved case whose instance has the
-same shape. Case 1 is case 0's instance and case 3 is case 2's, but for the
-PV size bound. A case run without its twin (``--cases 3`` alone) starts
-cold and may end at another optimal dispatch, within the gap.
+run one at a time in ascending order, and each is offered the optimal
+basis of the last solved case. A backend uses it only for an instance of
+the same shape, so case 1 starts from case 0's and case 3 from case 2's:
+each is its twin's instance but for the PV size bound. A case run without
+its twin (``--cases 3`` alone) starts cold and may end at another optimal
+dispatch, within the gap.
 
 Demand-charge convention: per-day charges scale by the annual demand
 weight (monthly billing by default); every audit header repeats this.
@@ -273,8 +274,7 @@ def run_study(config: StudyConfig) -> StudyOutcome:
     out.mkdir(parents=True, exist_ok=True)
 
     outcomes: dict[int, CaseOutcome] = {}
-    # (n_rows, n_cols) -> the relaxation basis of the last case of that shape that solved
-    twin_basis: dict[tuple[int, int], object] = {}
+    basis = None                      # the relaxation basis of the last case that solved
     solve_failed = False
     audit_flagged = False
     for case_number in config.cases:
@@ -282,8 +282,7 @@ def run_study(config: StudyConfig) -> StudyOutcome:
             instance = build_model(scenario_set, config.catalog, tariff,
                                    CaseSpec.from_number(case_number),
                                    soc_boundary=config.soc_boundary)
-            shape = (instance.n_rows, instance.n_cols)
-            raw = solve_milp(instance, config.solve, warm_start=twin_basis.get(shape))
+            raw = solve_milp(instance, config.solve, warm_start=basis)
         except DersizerError as exc:
             solve_failed = True
             outcomes[case_number] = CaseOutcome(case_number, None, None,
@@ -294,8 +293,7 @@ def run_study(config: StudyConfig) -> StudyOutcome:
             outcomes[case_number] = CaseOutcome(case_number, None, None,
                                                 error=f"solve status {raw.status}")
             continue
-        if raw.basis is not None:
-            twin_basis[shape] = raw.basis
+        basis = raw.basis
         solution = extract_solution(instance, raw)
         audit = check_solution(solution, scenario_set, config.catalog, tariff)
         if not audit.ok:

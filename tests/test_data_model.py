@@ -71,6 +71,15 @@ def test_parse_header_mismatch(tmp_path):
         parse_profile_csv(path)
 
 
+@pytest.mark.parametrize("text, message", [("", "empty file"),
+                                           ("timestamp,load_kw,pv_pu\n", "no data rows")])
+def test_parse_a_file_without_data_rows(tmp_path, text, message):
+    path = tmp_path / "profile.csv"
+    path.write_text(text)
+    with pytest.raises(IngestionError, match=message):
+        parse_profile_csv(path)
+
+
 def test_parse_negative_load_is_validation_error(tmp_path):
     rows = ["2019-01-01T00:00:00,-5,0.0"]
     with pytest.raises(ValidationError, match="row 2.*-5"):

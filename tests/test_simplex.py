@@ -42,6 +42,11 @@ def test_unbounded_gives_certificate_ray():
 def test_infeasible_box():
     inst = dense_instance([1.0], [0.0], [np.inf], [[1.0], [1.0]], [LE, GE], [1.0, 2.0])
     assert solve_lp(inst).status == "infeasible"
+    # Crossed column bounds, as a branch's fixing can leave them, are
+    # infeasible before any iteration, though either bound fits the row.
+    inst = dense_instance([1.0], [0.0], [np.inf], [[1.0]], [LE], [5.0])
+    res = simplex_solve(standardize(inst), inst.objective, [2.0], [1.0])
+    assert res.status == "infeasible" and res.iterations == 0
 
 
 def test_equality_with_free_variable():

@@ -34,6 +34,11 @@ def test_solve_options_validation():
         SolveOptions(relative_gap=-1.0)
     with pytest.raises(SolverError):
         SolveOptions(backend="cplex")
+    for value in (np.inf, -np.inf):
+        with pytest.raises(SolverError, match="relative_gap must be finite"):
+            SolveOptions(relative_gap=value)
+        with pytest.raises(SolverError, match="time_limit must be None or finite"):
+            SolveOptions(time_limit=value)
 
 
 def test_binaries_fixed_by_bounds_reduce_to_lp():
@@ -76,11 +81,15 @@ def test_oracle_breaks_a_tie_by_the_lowest_bit_pattern(cost, excess):
 
 def test_oracle_raises_on_a_status_that_is_neither_optimal_nor_infeasible():
     # x0 is free to grow at a negative cost, so every run ends kUnbounded:
-    # an LP without an optimum, not an infeasible assignment.
+    # an LP without an optimum, not an infeasible assignment. The other two
+    # backends raise on the unbounded relaxation as well.
     inst = dense_instance([-1.0, 1.0], [0.0, 0.0], [np.inf, 1.0], [[0.0, 1.0]],
                           [GE], [0.0], binary=[False, True])
-    with pytest.raises(SolverError, match="HiGHS status 'Unbounded'"):
-        oracle_enumerate(inst)
+    for backend, message in [("oracle", "HiGHS status 'Unbounded'"),
+                             ("reference", "LP relaxation is unbounded"),
+                             ("external", "HiGHS status 'Primal infeasible or unbounded'")]:
+        with pytest.raises(SolverError, match=message):
+            solve_milp(inst, SolveOptions(backend=backend))
 
 
 def test_oracle_guard_refuses_17_binaries():

@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dersizer import CostBreakdown, compare_cases, run_study, study, write_profile_csv
+import dersizer.solver as solver
+from dersizer import (CaseSpec, CostBreakdown, build_model, compare_cases, run_study,
+                      solve_milp, study, write_profile_csv)
 from dersizer.cli import main as cli_main
-from dersizer.errors import ConfigError
+from dersizer.errors import ConfigError, NumericalError
 from dersizer.study import StudyConfig
 
 from conftest import make_profile
@@ -43,7 +45,7 @@ def small_profile_path(tmp_path_factory):
     return path
 
 
-def test_config_parsing_and_validation(tmp_path, small_profile_path):
+def test_config_parsing_and_validation(tmp_path, small_profile_path, capsys):
     path = _config_file(tmp_path, small_profile_path)
     config = StudyConfig.from_file(path)
     assert config.cases == (0, 3)
@@ -61,6 +63,12 @@ def test_config_parsing_and_validation(tmp_path, small_profile_path):
     with pytest.raises(ConfigError):
         StudyConfig.from_dict({"profile": str(small_profile_path),
                                "unknown_key": 1})
+    for text, message in (("[]", "config must be a JSON object"),
+                          ('{"cases": []}', "no cases requested")):
+        bad.write_text(text)
+        for command in ("validate", "run"):
+            assert cli_main([command, "--config", str(bad)]) == 3
+            assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("block, named", [
@@ -209,16 +217,50 @@ def test_savings_nesting_on_fixture(solved_cases, reduced_set, table_catalog,
 def test_cli_run_reduce_validate(tmp_path, small_profile_path, capsys):
     config_path = _config_file(tmp_path, small_profile_path)
     assert cli_main(["validate", "--config", str(config_path)]) == 0
+    out = tmp_path / "cli_out"
     assert cli_main(["run", "--config", str(config_path), "--cases", "0",
-                     "--gap", "1e-4"]) == 0
+                     "--gap", "1e-4", "--audit", "--out", str(out)]) == 0
     captured = capsys.readouterr().out
     assert "case 0" in captured and "monthly billing convention" in captured
+    assert (out / "results.csv").exists() and not (tmp_path / "out").exists()
+    # --audit prints the transcript that audit_case0.txt holds under its header.
+    assert (out / "audit_case0.txt").read_text().split("\n", 1)[1] in captured
+    assert cli_main(["run", "--config", str(config_path), "--cases", "0,x"]) == 3
+    assert "bad --cases value '0,x'" in capsys.readouterr().err
     days_csv = tmp_path / "days.csv"
     assert cli_main(["reduce", "--profile", str(small_profile_path), "--k", "2",
                      "--out", str(days_csv)]) == 0
     assert days_csv.read_text().splitlines()[0] == "day_index,probability"
     assert cli_main(["run", "--config", str(tmp_path / "nope.json")]) == 3
     assert cli_main(["validate", "--config", str(tmp_path / "nope.json")]) == 3
+
+
+def test_cli_malformed_profile_is_a_config_error(tmp_path, capsys):
+    profile = tmp_path / "profile.csv"
+    profile.write_text("time,load,pv\n2019-01-01T00:00:00,100,0.1\n")
+    config_path = _config_file(tmp_path, profile, cases=[0])
+    for command in ("validate", "run"):
+        assert cli_main([command, "--config", str(config_path)]) == 3
+        assert f"cannot ingest {profile}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_reports_a_cold_numerical_error_as_a_failed_case(
+        tmp_path, small_profile_path, monkeypatch, capsys):
+    """A cold LP that fails numerically is not retried: the case fails, exit 1."""
+    def simplex_solve(*args, **kwargs):
+        raise NumericalError("injected")
+
+    monkeypatch.setattr(solver, "simplex_solve", simplex_solve)
+    config_path = _config_file(tmp_path, small_profile_path, cases=[0],
+                               solve={"backend": "reference"})
+    config = StudyConfig.from_file(config_path)
+    _, scenario_set, tariff = study.prepare_study(config)
+    instance = build_model(scenario_set, config.catalog, tariff, CaseSpec.from_number(0))
+    with pytest.raises(NumericalError, match="injected"):
+        solve_milp(instance, config.solve)
+    assert cli_main(["run", "--config", str(config_path)]) == 1
+    assert "case 0: FAILED (injected)" in capsys.readouterr().out
 
 
 def test_cli_propagates_solve_failure(tmp_path, small_profile_path):
@@ -255,6 +297,8 @@ def test_cli_propagates_solve_failure(tmp_path, small_profile_path):
     ({"tariff": {"energy_price": [0.1] * 24, "peak_cap": float("inf")}}, 0),
     ({"catalog": {"c_pv": 1e21}}, 1),
     ({"tariff": {"energy_price": [0.1] * 24, "peak_cap": 1e21}}, 1),
+    ({"solve": {"relative_gap": float("inf")}}, 3),
+    ({"solve": {"time_limit": float("inf")}}, 3),
 ])
 def test_cli_validate_exits_as_run_does(tmp_path, small_profile_path, overrides, code):
     config_path = _config_file(tmp_path, small_profile_path, cases=[0], **overrides)
@@ -265,7 +309,8 @@ def test_cli_validate_exits_as_run_does(tmp_path, small_profile_path, overrides,
         assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("override", [["--gap", "-1"], ["--backend", "highs"]])
+@pytest.mark.parametrize("override", [["--gap", "-1"], ["--backend", "highs"],
+                                      ["--gap", "inf"]])
 def test_cli_bad_solve_override_is_a_config_error(tmp_path, small_profile_path,
                                                   override, capsys):
     config_path = _config_file(tmp_path, small_profile_path, cases=[0])
@@ -310,21 +355,27 @@ def test_cli_run_reports_a_negative_capacity_as_an_audit_failure(
 @pytest.mark.parametrize("backend", ["reference", "external"])
 def test_run_study_starts_each_case_from_its_twin_basis(tmp_path, small_profile_path,
                                                         monkeypatch, backend):
-    # Case 1 has case 0's shape and case 3 has case 2's; a case with no
-    # solved case of its shape before it starts cold.
+    # Each case is handed the last solved case's basis. Case 1 has case 0's
+    # shape and case 3 has case 2's; case 2, handed case 1's basis of
+    # another shape, must solve exactly as it does cold.
     real = study.solve_milp
     calls = []
 
     def solve_milp(instance, options, warm_start=None):
-        calls.append((warm_start, real(instance, options, warm_start=warm_start)))
-        return calls[-1][1]
+        calls.append((instance, warm_start, real(instance, options, warm_start=warm_start)))
+        return calls[-1][2]
 
     monkeypatch.setattr(study, "solve_milp", solve_milp)
     config = StudyConfig.from_file(_config_file(
         tmp_path, small_profile_path, cases=[0, 1, 2, 3],
         solve={"backend": backend, "relative_gap": 1e-4}))
     assert run_study(config).exit_code == 0
-    (start0, case0), (start1, _), (start2, case2), (start3, _) = calls
-    assert start0 is None and start2 is None
+    (_, start0, case0), (_, start1, case1), (instance2, start2, case2), (_, start3, _) = calls
+    assert start0 is None
     assert start1 is case0.basis is not None
+    assert start2 is case1.basis is not None
     assert start3 is case2.basis is not None
+    cold = real(instance2, config.solve)
+    assert float(case2.objective).hex() == float(cold.objective).hex()
+    assert case2.iterations == cold.iterations
+    np.testing.assert_array_equal(case2.x, cold.x)
