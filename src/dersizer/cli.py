@@ -16,10 +16,8 @@ from pathlib import Path
 from .data_model import LoadSplitSpec, parse_profile_csv
 from .errors import (ConfigError, DersizerError, IngestionError, SolverError,
                      ValidationError)
-from .milp_builder import build_model
 from .reduction import (REDUCTION_FEATURES, ReductionConfig, reduce_scenarios,
                         write_reduction_csv)
-from .solution import CaseSpec
 from .solver import BACKENDS
 from .study import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVE, StudyConfig, prepare_study,
                     run_study)
@@ -62,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = StudyConfig.from_file(args.config)
-    if args.cases:
+    if args.cases is not None:
         try:
             cases = tuple(int(c) for c in args.cases.split(","))
         except ValueError as exc:
@@ -72,7 +70,7 @@ def _cmd_run(args) -> int:
     try:
         if args.gap is not None:
             solve = replace(solve, relative_gap=args.gap)
-        if args.backend:
+        if args.backend is not None:
             solve = replace(solve, backend=args.backend)
     except SolverError as exc:
         raise ConfigError(f"bad solve override: {exc}") from exc
@@ -111,12 +109,11 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = StudyConfig.from_file(args.config)
-    profile, scenario_set, tariff = prepare_study(config)
+    profile, scenario_set = prepare_study(config)
     exit_code = EXIT_OK
     for case in config.cases:
         try:
-            build_model(scenario_set, config.catalog, tariff, CaseSpec.from_number(case),
-                        soc_boundary=config.soc_boundary)
+            config.build_case(scenario_set, case)
         except DersizerError as exc:
             print(f"case {case}: FAILED ({exc})")
             exit_code = EXIT_SOLVE

@@ -164,8 +164,6 @@ def write_lp(instance: MilpInstance, path) -> None:
             lines.append(f" {name} = {_coef(lo)}")
         elif np.isneginf(lo) and np.isposinf(hi):
             lines.append(f" {name} free")
-        elif np.isneginf(lo):
-            lines.append(f" -inf <= {name} <= {_coef(hi)}")
         elif np.isposinf(hi):
             lines.append(f" {name} >= {_coef(lo)}")
         else:

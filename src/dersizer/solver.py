@@ -258,7 +258,6 @@ def solve_reference(instance: MilpInstance, options: SolveOptions,
     heap: list[tuple] = [(-np.inf, 0, 0, instance.col_lower, instance.col_upper,
                           warm_start if fits else None)]
     counter = 0
-    nodes = 0
     status = "optimal"
 
     while heap:
@@ -272,8 +271,7 @@ def solve_reference(instance: MilpInstance, options: SolveOptions,
             break
         res = lp(lower, upper, warm)
         if depth:
-            nodes += 1
-            log.append(NodeRecord(nodes, depth, bound, incumbent_obj,
+            log.append(NodeRecord(len(log) + 1, depth, bound, incumbent_obj,
                                   np.inf if incumbent_obj is None
                                   else _gap(incumbent_obj, bound)))
         if res.status == "infeasible":
@@ -312,14 +310,14 @@ def solve_reference(instance: MilpInstance, options: SolveOptions,
 
     if incumbent_obj is None:
         return SolveResult("time_limit" if status == "time_limit" else "infeasible",
-                           None, None, achieved_gap=np.inf, nodes=nodes,
+                           None, None, achieved_gap=np.inf, nodes=len(log),
                            iterations=iterations, node_log=log, basis=root_basis)
     achieved = _gap(incumbent_obj, best_bound)
     if status != "time_limit":
         status = "optimal" if achieved <= 1e-12 else "gap_optimal"
     incumbent_x = incumbent_x[:instance.n_cols].copy()
     return SolveResult(status, float(incumbent_obj), incumbent_x,
-                       achieved_gap=achieved, nodes=nodes,
+                       achieved_gap=achieved, nodes=len(log),
                        iterations=iterations, node_log=log, basis=root_basis)
 
 

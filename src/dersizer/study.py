@@ -31,6 +31,7 @@ from .errors import (ConfigError, DersizerError, IngestionError, SolverError,
                      ValidationError)
 from .finance import CostBreakdown, annualize_expected
 from .milp_builder import build_model, extract_solution
+from .milp_instance import MilpInstance
 from .reduction import ReductionConfig, reduce_scenarios
 from .solution import CaseSpec, SizingSolution
 from .solver import SolveOptions, solve_milp
@@ -51,9 +52,11 @@ def _fmt(value: float) -> str:
     return f"{value + 0.0:.6f}"           # + 0.0 writes a -0.0 from a solver as 0.000000
 
 
-# What a config file gets for a solve key it leaves out; the tariff keys
-# default to the TariffPlan fields and the weights to the StudyConfig fields.
+# What a config file gets for a solve key or a tariff block it leaves out;
+# keys left out of a tariff block default to the TariffPlan fields and the
+# weights to the StudyConfig fields.
 DEFAULT_SOLVE = SolveOptions(backend="external")
+DEFAULT_TARIFF = TariffPlan.default_tou()
 WEIGHT_KEYS = ("annual_day_weight", "annual_demand_weight")
 
 
@@ -86,7 +89,7 @@ class StudyConfig:
     split: LoadSplitSpec = field(default_factory=LoadSplitSpec)
     reduction: ReductionConfig = field(default_factory=ReductionConfig)
     catalog: DeviceCatalog = field(default_factory=DeviceCatalog)
-    tariff: TariffPlan | None = None   # None means the default TOU plan
+    tariff: TariffPlan = DEFAULT_TARIFF
     annual_day_weight: float = 365.0
     annual_demand_weight: float = 12.0
     solve: SolveOptions = DEFAULT_SOLVE
@@ -100,11 +103,16 @@ class StudyConfig:
         cases = tuple(sorted(set(int(c) for c in self.cases)))
         if not cases:
             raise ConfigError("no cases requested")
-        if not set(cases) <= {0, 1, 2, 3}:
-            raise ConfigError(f"cases must be within 0..3, got {list(cases)}")
+        for case in cases:              # CaseSpec's table names the valid cases
+            CaseSpec.from_number(case)
         object.__setattr__(self, "cases", cases)
         if not self.profile.exists():
             raise ConfigError(f"profile file not found: {self.profile}")
+
+    def build_case(self, scenario_set: ScenarioSet, case: int) -> MilpInstance:
+        """The sizing MILP of study case ``case`` over ``scenario_set``."""
+        return build_model(scenario_set, self.catalog, self.tariff,
+                           CaseSpec.from_number(case), soc_boundary=self.soc_boundary)
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: Path | None = None) -> "StudyConfig":
@@ -118,7 +126,7 @@ class StudyConfig:
             profile = raw.get("profile")
             profile_path = packaged_profile_path() if profile is None \
                 else (base / profile if not Path(profile).is_absolute() else Path(profile))
-            out_raw = raw.get("output_dir", "study_out")
+            out_raw = raw.get("output_dir", cls.output_dir)
             output_dir = base / out_raw if not Path(out_raw).is_absolute() \
                 else Path(out_raw)
             weights = _config_block(raw, "weights", WEIGHT_KEYS)
@@ -126,15 +134,15 @@ class StudyConfig:
             return cls(
                 profile=profile_path,
                 output_dir=output_dir,
-                cases=tuple(raw.get("cases", (0, 1, 2, 3))),
+                cases=tuple(raw.get("cases", cls.cases)),
                 split=LoadSplitSpec(**_config_block(raw, "split", LoadSplitSpec)),
                 reduction=ReductionConfig(**_config_block(raw, "reduction",
                                                           ReductionConfig)),
                 catalog=DeviceCatalog(**_config_block(raw, "catalog", DeviceCatalog)),
                 tariff=TariffPlan(**_config_block(raw, "tariff", TariffPlan))
-                if "tariff" in raw else None,
+                if "tariff" in raw else DEFAULT_TARIFF,
                 solve=replace(DEFAULT_SOLVE, **_config_block(raw, "solve", SolveOptions)),
-                soc_boundary=raw.get("soc_boundary", "cyclic"),
+                soc_boundary=raw.get("soc_boundary", cls.soc_boundary),
                 **{key: float(value) for key, value in weights.items()},
             )
         except (KeyError, TypeError, ValueError, SolverError) as exc:
@@ -156,11 +164,11 @@ class StudyConfig:
 
 @dataclass
 class CaseOutcome:
-    """One case's solution and audit; both are None when its build or solve failed."""
+    """One case's solution and audit, held in ``StudyOutcome.cases`` under
+    the case number; both are None when its build or solve failed."""
 
-    case: int
-    solution: SizingSolution | None
-    audit: AuditReport | None
+    solution: SizingSolution | None = None
+    audit: AuditReport | None = None
     error: str | None = None
 
     @property
@@ -240,8 +248,8 @@ def _write_table(path: Path, header: list[str], columns) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def prepare_study(config: StudyConfig) -> tuple[AnnualProfile, ScenarioSet, TariffPlan]:
-    """Ingest, reduce and weight the days, and pick the tariff.
+def prepare_study(config: StudyConfig) -> tuple[AnnualProfile, ScenarioSet]:
+    """Ingest, reduce and weight the days.
 
     A bad weight or reduced set raises ``ValidationError`` from ``ScenarioSet``.
 
@@ -255,9 +263,7 @@ def prepare_study(config: StudyConfig) -> tuple[AnnualProfile, ScenarioSet, Tari
     scenario_set = ScenarioSet(days=reduced.days,
                                annual_day_weight=config.annual_day_weight,
                                annual_demand_weight=config.annual_demand_weight)
-    tariff = config.tariff if config.tariff is not None \
-        else TariffPlan.default_tou(scenario_set.intervals)
-    return profile, scenario_set, tariff
+    return profile, scenario_set
 
 
 def run_study(config: StudyConfig) -> StudyOutcome:
@@ -268,37 +274,27 @@ def run_study(config: StudyConfig) -> StudyOutcome:
     infeasible, and ``EXIT_AUDIT`` when every solve succeeded but an audit
     flagged violations.
     """
-    _, scenario_set, tariff = prepare_study(config)
+    _, scenario_set = prepare_study(config)
 
-    out = Path(config.output_dir)
+    out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
 
     outcomes: dict[int, CaseOutcome] = {}
     basis = None                      # the relaxation basis of the last case that solved
-    solve_failed = False
-    audit_flagged = False
     for case_number in config.cases:
         try:
-            instance = build_model(scenario_set, config.catalog, tariff,
-                                   CaseSpec.from_number(case_number),
-                                   soc_boundary=config.soc_boundary)
+            instance = config.build_case(scenario_set, case_number)
             raw = solve_milp(instance, config.solve, warm_start=basis)
         except DersizerError as exc:
-            solve_failed = True
-            outcomes[case_number] = CaseOutcome(case_number, None, None,
-                                                error=str(exc))
+            outcomes[case_number] = CaseOutcome(error=str(exc))
             continue
         if not raw.ok:
-            solve_failed = True
-            outcomes[case_number] = CaseOutcome(case_number, None, None,
-                                                error=f"solve status {raw.status}")
+            outcomes[case_number] = CaseOutcome(error=f"solve status {raw.status}")
             continue
         basis = raw.basis
         solution = extract_solution(instance, raw)
-        audit = check_solution(solution, scenario_set, config.catalog, tariff)
-        if not audit.ok:
-            audit_flagged = True
-        outcomes[case_number] = CaseOutcome(case_number, solution, audit)
+        audit = check_solution(solution, scenario_set, config.catalog, config.tariff)
+        outcomes[case_number] = CaseOutcome(solution, audit)
 
         audit_path = out / f"audit_case{case_number}.txt"
         header = (f"case {case_number} status={solution.status} "
@@ -331,6 +327,8 @@ def run_study(config: StudyConfig) -> StudyOutcome:
                      [SAVINGS_COMPONENTS] + [[savings[c][k] for k in SAVINGS_COMPONENTS]
                                              for c in compared])
 
-    exit_code = EXIT_SOLVE if solve_failed else (EXIT_AUDIT if audit_flagged else EXIT_OK)
+    results = outcomes.values()
+    exit_code = (EXIT_SOLVE if not all(o.solved for o in results)
+                 else EXIT_AUDIT if not all(o.audit.ok for o in results) else EXIT_OK)
     return StudyOutcome(exit_code=exit_code, scenario_set=scenario_set,
                         cases=outcomes, output_dir=out)

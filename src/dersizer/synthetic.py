@@ -23,7 +23,7 @@ HOURS = 8760
 PEAK_KW = 846.0
 
 
-def build_synthetic_year(seed: int = 20190101, peak_kw: float = PEAK_KW) -> AnnualProfile:
+def build_synthetic_year(seed: int = 20190101) -> AnnualProfile:
     """Build one deterministic 8760-hour load and PV availability year."""
     rng = np.random.default_rng(seed)
     hour = np.arange(HOURS)
@@ -45,7 +45,7 @@ def build_synthetic_year(seed: int = 20190101, peak_kw: float = PEAK_KW) -> Annu
 
     noise = rng.normal(0.0, 6.0, HOURS)
     load = np.maximum(load + noise, 0.85 * base)
-    load *= peak_kw / load.max()
+    load *= PEAK_KW / load.max()
 
     # PV availability: seasonal daylight window and a daily clearness draw.
     half_width = 5.75 + 1.25 * np.cos(2.0 * np.pi * (day - 172.0) / 365.0)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dersizer import (DeviceCatalog, LoadSplitSpec, ScenarioSet, TariffPlan,
                       packaged_profile_path, parse_profile_csv, split_loads,
                       write_profile_csv)
-from dersizer.data_model import DayScenario
+from dersizer.data_model import AnnualProfile, DayScenario
 from dersizer.errors import IngestionError, ValidationError
 from dersizer.synthetic import build_synthetic_year
 
@@ -78,6 +78,17 @@ def test_parse_a_file_without_data_rows(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(IngestionError, match=message):
         parse_profile_csv(path)
+
+
+def test_parse_a_missing_file(tmp_path):
+    with pytest.raises(IngestionError, match="profile file not found"):
+        parse_profile_csv(tmp_path / "missing.csv")
+
+
+def test_profile_columns_of_different_lengths():
+    with pytest.raises(ValidationError, match="profile columns have different lengths"):
+        AnnualProfile(timestamps=("2019-01-01T00:00:00",), load_kw=[1.0, 2.0],
+                      pv_pu=[0.0, 0.0])
 
 
 def test_parse_negative_load_is_validation_error(tmp_path):
@@ -270,6 +281,11 @@ def test_validate_passes_even_split():
     np.testing.assert_array_equal(scen.probabilities, [0.5, 0.5])
 
 
+def test_scenario_set_needs_a_day():
+    with pytest.raises(ValidationError, match="scenario set has no days"):
+        ScenarioSet(days=())
+
+
 def test_validate_reports_probability_sum():
     with pytest.raises(ValidationError, match="probabilities sum to 1.1"):
         ScenarioSet(days=(_day(id="a", probability=0.5), _day(id="b", probability=0.6)))
@@ -326,6 +342,15 @@ def test_day_scenario_rejects_ragged_series():
         _day(cl_ac=[1.0, 2.0])
 
 
+@pytest.mark.parametrize("series, message", [
+    ([[1.0]], r"cl_ac must be a 1-D series, got shape \(1, 1\)"),
+    ([float("nan")], "cl_ac contains non-finite values"),
+], ids=["2-D", "nan"])
+def test_day_scenario_rejects_a_series_that_is_not_finite_1d(series, message):
+    with pytest.raises(ValidationError, match=message):
+        _day(cl_ac=series)
+
+
 def test_catalog_validation():
     with pytest.raises(ValidationError):
         DeviceCatalog(eta_ch=0.0)
@@ -342,6 +367,8 @@ def test_tariff_validation_and_default_tou():
         TariffPlan(energy_price=[-0.1] * 24, demand_price=18.0, peak_cap=1000.0)
     with pytest.raises(ValidationError):
         TariffPlan(energy_price=[0.1] * 24, demand_price=18.0, peak_cap=0.0)
+    with pytest.raises(ValidationError, match="defined on 24 hourly intervals"):
+        TariffPlan.default_tou(12)
     tou = TariffPlan.default_tou()
     assert tou.intervals == 24
     assert set(np.unique(tou.energy_price)) == {0.09, 0.12, 0.16}

@@ -51,6 +51,11 @@ def test_investment_zero_capacities():
                            CATALOG) == 0.0
 
 
+def test_investment_rejects_an_unknown_capacity():
+    with pytest.raises(ValidationError, match=r"unknown capacities: \['pvv'\]"):
+        investment_cost({"pv": 1.0, "pvv": 1.0}, CATALOG)
+
+
 def test_investment_table_prices_case3_capacities():
     # 108*400 + 424*350 + 8.1*199 + 6.5*350 + 4.3*624, evaluated by hand.
     value = investment_cost({"pv": 400, "es": 350, "ic": 199, "inv": 350,

@@ -15,7 +15,7 @@ from dersizer import milp_builder
 from dersizer.data_model import DayScenario
 from dersizer.errors import BuildError, SolverError, ValidationError
 from dersizer.milp_builder import expected_dimensions, variable_blocks
-from dersizer.milp_instance import LE
+from dersizer.milp_instance import GE, LE
 from dersizer.solution import GridDispatch, IslandedDispatch
 from dersizer.solver import SolveResult
 
@@ -385,6 +385,24 @@ def test_lp_writer_round_trippable_text(tmp_path):
     assert text.count("\n obj") <= 1
 
 
+def test_lp_writer_zero_objective_and_one_sided_bounds(tmp_path):
+    instance = dense_instance([0.0, 0.0, 0.0], [2.0, -np.inf, 0.0], [2.0, 5.0, np.inf],
+                              [[1.0, 1.0, 1.0]], [GE], [0.0])
+    path = tmp_path / "model.lp"
+    write_lp(instance, path)
+    lines = path.read_text().splitlines()
+    assert lines[lines.index(" obj:") + 1] == "   + 0 x0"
+    bounds = lines[lines.index("Bounds") + 1:lines.index("End")]
+    assert bounds == [" x0 = 2", " -inf <= x1 <= 5", " x2 >= 0"]
+
+
+def test_col_of_an_unknown_name_is_a_key_error():
+    instance = dense_instance([1.0], [0.0], [1.0], [[1.0]], [LE], [1.0])
+    assert instance.col("x0") == 0
+    with pytest.raises(KeyError, match="no column named x_pv_s0_t1"):
+        instance.col("x_pv", 0, 1)
+
+
 def test_instance_validation_catches_corruption():
     scen, catalog, tariff = tiny_sizing_inputs(0)
     instance = build_model(scen, catalog, tariff, CaseSpec.from_number(3))
@@ -406,6 +424,10 @@ def test_instance_arrays_are_read_only_copies():
 
 
 @pytest.mark.parametrize("fault, message", [
+    ({"col_lower": np.array([0.0])}, "column array lengths disagree"),
+    ({"rhs": np.array([1.0, 1.0])}, "row array lengths disagree"),
+    ({"matrix": sp.csr_matrix([[1.0, 1.0, 1.0]])},
+     r"matrix shape \(1, 3\) does not match \(1, 2\)"),
     ({"col_names": ("x0", "x0")}, "duplicate column"),
     ({"col_upper": np.array([1.0, 2.0])}, "binary column"),
     ({"row_sense": ("<",)}, "bad row sense '<'"),
@@ -422,8 +444,9 @@ def test_instance_arrays_are_read_only_copies():
     ({"matrix": sp.csr_matrix([[1e16, 1.0]])},
      r"coefficient 1e\+16 of x0 in row r0 is at or above HiGHS's large matrix value "
      r"1e\+15"),
-], ids=["duplicate-name", "binary-above-1", "bad-sense", "nan-rhs", "inf-objective",
-        "inf-coefficient", "cost-at-highs-infinity", "bound-at-highs-infinity",
+], ids=["column-lengths", "row-lengths", "matrix-shape", "duplicate-name",
+        "binary-above-1", "bad-sense", "nan-rhs", "inf-objective", "inf-coefficient",
+        "cost-at-highs-infinity", "bound-at-highs-infinity",
         "lower-bound-at-highs-infinity", "rhs-at-highs-infinity",
         "coefficient-at-highs-large-value"])
 def test_instance_validation_names_the_fault(fault, message):

@@ -10,7 +10,8 @@ import pytest
 
 import dersizer
 from dersizer import LoadSplitSpec, ReductionConfig, reconstruction_error, reduce_scenarios
-from dersizer.errors import ConfigError
+from dersizer.data_model import DayScenario, ScenarioSet
+from dersizer.errors import ConfigError, ValidationError
 from dersizer.reduction import write_reduction_csv
 from dersizer.study import StudyConfig
 
@@ -117,6 +118,24 @@ def test_reduction_csv_dump(tmp_path, packaged_profile):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "day_index,probability"
     assert len(lines) == 4
+
+
+def _one_day_set(day_id):
+    quarter = [1.0] * 24
+    return ScenarioSet(days=(DayScenario(id=day_id, probability=1.0, cl_ac=quarter,
+                                         cl_dc=quarter, nl_ac=quarter, nl_dc=quarter,
+                                         pv_availability=[0.5] * 24),))
+
+
+@pytest.mark.parametrize("day_id", ["jan001", "dayX"])
+def test_reduction_csv_rejects_an_id_that_names_no_source_day(tmp_path, day_id):
+    with pytest.raises(ValidationError, match=f"scenario id '{day_id}' does not name"):
+        write_reduction_csv(_one_day_set(day_id), tmp_path / "days.csv")
+
+
+def test_reconstruction_error_rejects_a_day_outside_the_profile(packaged_profile):
+    with pytest.raises(ValidationError, match="representative day 999 outside profile"):
+        reconstruction_error(packaged_profile, _one_day_set("day999"))
 
 
 def test_bad_config_values():

@@ -227,6 +227,8 @@ def test_cli_run_reduce_validate(tmp_path, small_profile_path, capsys):
     assert (out / "audit_case0.txt").read_text().split("\n", 1)[1] in captured
     assert cli_main(["run", "--config", str(config_path), "--cases", "0,x"]) == 3
     assert "bad --cases value '0,x'" in capsys.readouterr().err
+    assert cli_main(["run", "--config", str(config_path), "--cases", ""]) == 3
+    assert "bad --cases value ''" in capsys.readouterr().err
     days_csv = tmp_path / "days.csv"
     assert cli_main(["reduce", "--profile", str(small_profile_path), "--k", "2",
                      "--out", str(days_csv)]) == 0
@@ -255,8 +257,8 @@ def test_cli_reports_a_cold_numerical_error_as_a_failed_case(
     config_path = _config_file(tmp_path, small_profile_path, cases=[0],
                                solve={"backend": "reference"})
     config = StudyConfig.from_file(config_path)
-    _, scenario_set, tariff = study.prepare_study(config)
-    instance = build_model(scenario_set, config.catalog, tariff, CaseSpec.from_number(0))
+    _, scenario_set = study.prepare_study(config)
+    instance = build_model(scenario_set, config.catalog, config.tariff, CaseSpec.from_number(0))
     with pytest.raises(NumericalError, match="injected"):
         solve_milp(instance, config.solve)
     assert cli_main(["run", "--config", str(config_path)]) == 1
@@ -310,7 +312,7 @@ def test_cli_validate_exits_as_run_does(tmp_path, small_profile_path, overrides,
 
 
 @pytest.mark.parametrize("override", [["--gap", "-1"], ["--backend", "highs"],
-                                      ["--gap", "inf"]])
+                                      ["--gap", "inf"], ["--backend", ""]])
 def test_cli_bad_solve_override_is_a_config_error(tmp_path, small_profile_path,
                                                   override, capsys):
     config_path = _config_file(tmp_path, small_profile_path, cases=[0])
