@@ -31,6 +31,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+def _out_path(value: str) -> str:
+    """An ``--out`` value; an empty one is a usage error."""
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="dersizer",
@@ -45,13 +52,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--backend", help=f"solver backend override: {', '.join(BACKENDS)}")
     run.add_argument("--audit", action="store_true",
                      help="print each case's audit transcript to stdout")
-    run.add_argument("--out", help="output directory override")
+    run.add_argument("--out", type=_out_path, help="output directory override")
 
     reduce_p = sub.add_parser("reduce", help="pick representative days from a profile")
     reduce_p.add_argument("--profile", required=True, help="hourly profile CSV")
     reduce_p.add_argument("--k", type=int, default=6, help="number of days")
     reduce_p.add_argument("--feature", choices=REDUCTION_FEATURES, default="load")
-    reduce_p.add_argument("--out", help="write day_index,probability CSV here")
+    reduce_p.add_argument("--out", type=_out_path,
+                          help="write day_index,probability CSV here")
 
     validate = sub.add_parser("validate", help="check a study config end to end")
     validate.add_argument("--config", required=True, help="JSON study config")

@@ -393,7 +393,7 @@ def extract_solution(instance: MilpInstance, raw) -> SizingSolution:
 
     return SizingSolution(
         case=instance.meta["case"], status=raw.status, objective=float(raw.objective),
-        gap=float(getattr(raw, "achieved_gap", 0.0) or 0.0),
+        gap=float(raw.achieved_gap),
         capacities=dict(zip(("pv", "es", "ic", "inv", "con"), x[blocks["x"]].tolist())),
         grid=fill(GridDispatch), islanded=fill(IslandedDispatch),
         soc_boundary=instance.meta["soc_boundary"],

@@ -336,17 +336,6 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
         col[indices[start:stop]] = data[start:stop]
         return factor.ftran(col)
 
-    def refused(r, j_in, w):
-        """True, after a refactor for the caller to retry, when ``|w[r]|`` is
-        below ``PIVOT_TOL``; on a fresh factor that raises instead."""
-        if abs(w[r]) >= PIVOT_TOL:
-            return False
-        if factor.age:
-            refactor()
-            return True
-        raise NumericalError(f"pivot {w[r]:.3e} too small on column "
-                             f"{j_in}, row {r}")
-
     def pivot(r, j_in, w, step, leaves_upper):
         """Move ``j_in`` by ``step`` along ``w = B^-1 a_in`` into basis row ``r``;
         the leaving column lands on its upper bound when ``leaves_upper``."""
@@ -450,9 +439,13 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
 
             count_iteration()
             w = entering_column(j_in)
-            if refused(r, j_in, w):
-                d = reduced_costs()
-                continue
+            if abs(w[r]) < PIVOT_TOL:
+                if factor.age:  # call a pivot too small only on a fresh factor
+                    refactor()
+                    d = reduced_costs()
+                    continue
+                raise NumericalError(f"pivot {w[r]:.3e} too small on column "
+                                     f"{j_in}, row {r}")
             target = u_b[r] if above else l_b[r]
             pivot(r, j_in, w, (x_b[r] - target) / w[r], above)
             if factor.age == 0:  # refactored: recompute rather than update
@@ -537,8 +530,7 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
                 r = int(blockers[np.argmin(basis[blockers])])
             else:
                 r = int(blockers[np.argmax(np.abs(w[blockers]))])
-            if refused(r, j_in, w):
-                continue
+            # No refusal: every blocker has |rate| = |w[r]| > PIVOT_TOL.
             pivot(r, j_in, w, sigma * theta, rate[r] > 0)
 
     recompute_basics()

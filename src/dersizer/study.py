@@ -106,8 +106,6 @@ class StudyConfig:
         for case in cases:              # CaseSpec's table names the valid cases
             CaseSpec.from_number(case)
         object.__setattr__(self, "cases", cases)
-        if not self.profile.exists():
-            raise ConfigError(f"profile file not found: {self.profile}")
 
     def build_case(self, scenario_set: ScenarioSet, case: int) -> MilpInstance:
         """The sizing MILP of study case ``case`` over ``scenario_set``."""
@@ -278,6 +276,15 @@ def run_study(config: StudyConfig) -> StudyOutcome:
 
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
+    # An earlier run's files under this run's names go first, so that every
+    # such file left in ``out`` is this run's; other files stay.
+    stale = [out / "savings.csv"]
+    for case_number in config.cases:
+        stale += [out / f"audit_case{case_number}.txt",
+                  out / f"curtailment_case{case_number}.csv",
+                  *out.glob(f"dispatch_case{case_number}_*.csv")]
+    for path in stale:
+        path.unlink(missing_ok=True)
 
     outcomes: dict[int, CaseOutcome] = {}
     basis = None                      # the relaxation basis of the last case that solved

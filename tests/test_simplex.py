@@ -157,6 +157,39 @@ def test_drifted_basis_goes_back_to_the_dual_phase(monkeypatch):
     assert priced_past_bounds == 0
 
 
+@pytest.mark.parametrize("drift", ["once", "persistent"])
+def test_optimal_basis_passes_the_row_residual_check(monkeypatch, drift):
+    # The primal phase checks A x = b at its optimal basis. A reported drift
+    # must refactor and check again: a clean second check ends optimal at
+    # the unreported objective, a second drift raises.
+    inst = _random_lp(0)
+    want = solve_lp(inst)
+    assert want.status == "optimal"
+    real_residual, real_refactor = simplex._max_residual, simplex._Factor.refactor
+    events = []
+
+    def max_residual(form, x):
+        events.append("check")
+        if drift == "persistent" or events.count("check") == 1:
+            return np.inf
+        return real_residual(form, x)
+
+    def refactor(self, basis):
+        events.append("refactor")
+        real_refactor(self, basis)
+
+    monkeypatch.setattr(simplex, "_max_residual", max_residual)
+    monkeypatch.setattr(simplex._Factor, "refactor", refactor)
+    if drift == "persistent":
+        with pytest.raises(simplex.NumericalError, match="row residual check"):
+            solve_lp(inst)
+        return
+    got = solve_lp(inst)
+    assert events[events.index("check"):] == ["check", "refactor", "check"]
+    assert got.status == "optimal"
+    assert got.objective == pytest.approx(want.objective, rel=1e-12, abs=1e-12)
+
+
 def _general_lp(seed):
     """Random LP over every column kind, for the differential test with HiGHS.
 

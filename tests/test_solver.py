@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import dersizer.simplex as simplex
 import dersizer.solver as solver
 from dersizer import (CaseSpec, LoadSplitSpec, ReductionConfig, SolveOptions,
                       build_model, check_solution, extract_solution,
@@ -283,6 +284,47 @@ def test_reference_lp_is_identical_across_processes(case3_k2):
     digests = [subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True).stdout.strip() for _ in range(2)]
     assert digests == [hashlib.sha256(solve_lp(case3_k2).x.tobytes()).hexdigest()] * 2
+
+
+@pytest.mark.parametrize("factor", ["updated", "fresh"])
+def test_reference_dual_phase_refuses_a_tiny_pivot(case3_k2, monkeypatch, factor):
+    # Once per solve, right after a row's btran_unit on an updated (or a
+    # fresh) factor, the entering column comes back scaled by 1e-12, so its
+    # pivot |w[r]| falls below PIVOT_TOL. An updated factor must refactor
+    # and price again, reach the untouched objective and never pivot on
+    # such a w; on a fresh factor the pivot is an error.
+    want = solve_lp(case3_k2)
+    pivots = []
+
+    class Factor(simplex._Factor):
+        armed, scale_next = True, False
+
+        def btran_unit(self, r):
+            if Factor.armed and (self.age > 0) == (factor == "updated"):
+                Factor.armed, self.scale_next = False, True
+            return super().btran_unit(r)
+
+        def ftran(self, v):
+            y = super().ftran(v)
+            if self.scale_next:
+                self.scale_next = False
+                y *= 1e-12
+            return y
+
+        def update(self, row, w):
+            pivots.append(abs(w[row]))
+            super().update(row, w)
+
+    monkeypatch.setattr(simplex, "_Factor", Factor)
+    if factor == "fresh":
+        with pytest.raises(NumericalError, match="too small"):
+            solve_lp(case3_k2)
+        return
+    got = solve_lp(case3_k2)
+    assert not Factor.armed
+    assert got.status == "optimal"
+    assert got.objective == pytest.approx(want.objective, rel=1e-9)
+    assert min(pivots) >= simplex.PIVOT_TOL
 
 
 def test_reference_warm_starts_take_the_dual_phase(case3_k2):

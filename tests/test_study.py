@@ -330,6 +330,19 @@ def test_cli_argument_errors_are_config_errors(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_empty_out_is_a_usage_error(tmp_path, small_profile_path, monkeypatch, capsys):
+    # An empty --out names no path: run and reduce both refuse it, write nothing.
+    monkeypatch.chdir(tmp_path)
+    config_path = _config_file(tmp_path, small_profile_path)
+    for argv in (["run", "--config", str(config_path)],
+                 ["reduce", "--profile", str(small_profile_path), "--k", "2"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([*argv, "--out", ""])
+        assert exit_info.value.code == 3
+        assert "argument --out: must not be empty" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["study.json"]
+
+
 def test_cli_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli_main(["run", "--help"])
@@ -381,3 +394,35 @@ def test_run_study_starts_each_case_from_its_twin_basis(tmp_path, small_profile_
     assert float(case2.objective).hex() == float(cold.objective).hex()
     assert case2.iterations == cold.iterations
     np.testing.assert_array_equal(case2.x, cold.x)
+
+
+def test_a_rerun_leaves_no_earlier_file_under_its_names(tmp_path, small_profile_path,
+                                                         monkeypatch):
+    # Every savings.csv and every file of a requested case in the output
+    # directory is this run's; files of other cases and other files stay.
+    config = StudyConfig.from_file(_config_file(tmp_path, small_profile_path))
+    out = config.output_dir
+    run_study(config)
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "savings.csv" in first
+    (out / "notes.txt").write_text("not a study file")
+
+    # Case 3 alone compares nothing, so the cases 0 and 3 savings must go.
+    assert run_study(replace(config, cases=(3,))).exit_code == 0
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(files) == set(first) - {"savings.csv"} | {"notes.txt"}
+    assert all(files[name] == data for name, data in first.items() if "case0" in name)
+
+    # Case 3 fails: none of its files may outlive the run that failed it.
+    real = study.solve_milp
+
+    def solve_milp(instance, options, warm_start=None):
+        if instance.meta["case"].number == 3:
+            return solver.SolveResult("time_limit", None, None, achieved_gap=np.inf)
+        return real(instance, options, warm_start=warm_start)
+
+    monkeypatch.setattr(study, "solve_milp", solve_milp)
+    assert run_study(config).exit_code == 1
+    assert {p.name for p in out.iterdir()} == \
+        {name for name in first if "case3" not in name} - {"savings.csv"} | {"notes.txt"}
+    assert "n/a" in (out / "results.csv").read_text()
