@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import DeviceCatalog, ScenarioSet, TariffPlan
+from .data_model import DAY_SERIES, DEVICES, DeviceCatalog, ScenarioSet, TariffPlan
 from .finance import (CostBreakdown, annualize_expected, degradation_cost,
                       demand_charge, energy_charge, investment_cost, shedding_cost)
 from .solution import SizingSolution
@@ -140,9 +140,8 @@ def check_solution(solution: SizingSolution, scenario_set: ScenarioSet,
     x_pv, x_es = caps["pv"], caps["es"]
     x_ic, x_inv, x_con = caps["ic"], caps["inv"], caps["con"]
     days = scenario_set.days
-    cl_ac, cl_dc, nl_ac, nl_dc, avail = (
-        np.array([getattr(day, name) for day in days])
-        for name in ("cl_ac", "cl_dc", "nl_ac", "nl_dc", "pv_availability"))
+    cl_ac, cl_dc, nl_ac, nl_dc, avail = (np.array([getattr(day, name) for day in days])
+                                         for name in DAY_SERIES)
 
     # Big-M values recomputed here from their documented formulas.
     max_load = max(float(day.total_load().max()) for day in days)
@@ -157,7 +156,7 @@ def check_solution(solution: SizingSolution, scenario_set: ScenarioSet,
 
     c.at_most("pv_cap", x_pv, catalog.pv_max if solution.case.allow_pv else 0.0)
     c.at_most("es_cap", x_es, catalog.es_max if solution.case.allow_es else 0.0)
-    for name in ("pv", "es", "ic", "inv", "con"):
+    for name in DEVICES:
         c.at_most("capacity_nonneg", -caps[name], 0.0)
 
     c.at_most("peak_cap", grid.p_peak, tariff.peak_cap)

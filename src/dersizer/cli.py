@@ -56,8 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     reduce_p = sub.add_parser("reduce", help="pick representative days from a profile")
     reduce_p.add_argument("--profile", required=True, help="hourly profile CSV")
-    reduce_p.add_argument("--k", type=int, default=6, help="number of days")
-    reduce_p.add_argument("--feature", choices=REDUCTION_FEATURES, default="load")
+    reduce_p.add_argument("--k", type=int, default=ReductionConfig.k, help="number of days")
+    reduce_p.add_argument("--feature", choices=REDUCTION_FEATURES,
+                          default=ReductionConfig.feature)
     reduce_p.add_argument("--out", type=_out_path,
                           help="write day_index,probability CSV here")
 

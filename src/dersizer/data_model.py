@@ -20,6 +20,7 @@ copies, so nothing can invalidate an object after its checks.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -59,6 +60,10 @@ def _as_series(values, name: str) -> np.ndarray:
     return arr
 
 
+# A day's series, one value per interval: four load classes and PV availability.
+DAY_SERIES = ("cl_ac", "cl_dc", "nl_ac", "nl_dc", "pv_availability")
+
+
 @dataclass(frozen=True)
 class DayScenario:
     """One weighted representative day of microgrid operation.
@@ -77,16 +82,15 @@ class DayScenario:
     pv_availability: np.ndarray
 
     def __post_init__(self):
-        for name in ("cl_ac", "cl_dc", "nl_ac", "nl_dc", "pv_availability"):
+        for name in DAY_SERIES:
             object.__setattr__(self, name, _as_series(getattr(self, name), name))
-        lengths = {len(getattr(self, n)) for n in
-                   ("cl_ac", "cl_dc", "nl_ac", "nl_dc", "pv_availability")}
+        lengths = {len(getattr(self, n)) for n in DAY_SERIES}
         if len(lengths) != 1:
             raise ValidationError(f"day {self.id}: series lengths differ: {sorted(lengths)}")
         if not 0.0 < self.probability <= 1.0:
             raise ValidationError(f"day {self.id}: probability {self.probability:.10g} "
                                   "outside (0, 1]")
-        for name in ("cl_ac", "cl_dc", "nl_ac", "nl_dc", "pv_availability"):
+        for name in DAY_SERIES:
             series, pv = getattr(self, name), name == "pv_availability"
             bad = np.flatnonzero((series < 0) | (pv & (series > 1)))
             if bad.size:
@@ -139,6 +143,10 @@ class ScenarioSet:
     @property
     def probabilities(self) -> np.ndarray:
         return np.array([d.probability for d in self.days], dtype=float)
+
+
+# The sizable devices in sizing-column order; device d's price is DeviceCatalog.c_{d}.
+DEVICES = ("pv", "es", "ic", "inv", "con")
 
 
 @dataclass(frozen=True)
@@ -303,60 +311,65 @@ def _step_fault(row: int, previous: datetime, stamp: datetime, step) -> Ingestio
 def parse_profile_csv(path) -> AnnualProfile:
     """Read an hourly ``timestamp,load_kw,pv_pu`` CSV into an AnnualProfile.
 
-    The header must match ``PROFILE_COLUMNS`` and timestamps must be
-    strictly increasing with exactly one hour between rows. Gaps and
-    duplicates are ingestion errors naming the offending timestamp;
-    negative loads or PV availability outside [0, 1] are validation
-    errors naming the row. Each row is checked as it is read, so the first
-    faulty row in file order is reported; its step from the row before is
-    checked before its values.
+    The file is read as UTF-8, skipping a leading byte-order mark, and
+    decoded whole before any row is judged: bytes that are not UTF-8 are an
+    ingestion error. The header must match ``PROFILE_COLUMNS`` and
+    timestamps must be strictly increasing with exactly one hour between
+    rows. Gaps and duplicates are ingestion errors naming the offending
+    timestamp; negative loads or PV availability outside [0, 1] are
+    validation errors naming the row. Each row is checked as it is read, so
+    the first faulty row in file order is reported; its step from the row
+    before is checked before its values.
     """
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"profile file not found: {path}")
+    try:
+        content = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from None
     stamps: list[datetime] = []
     load: list[float] = []
     pv: list[float] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(content, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestionError(f"{path}: empty file") from None
+    if tuple(h.strip() for h in header) != PROFILE_COLUMNS:
+        raise IngestionError(
+            f"{path}: header {header!r} does not match {list(PROFILE_COLUMNS)!r}")
+    for row_number, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(PROFILE_COLUMNS):
+            raise IngestionError(f"row {row_number}: expected "
+                                 f"{len(PROFILE_COLUMNS)} fields, got {len(row)}")
+        text = row[0].strip()
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != PROFILE_COLUMNS:
-            raise IngestionError(
-                f"{path}: header {header!r} does not match {list(PROFILE_COLUMNS)!r}")
-        for row_number, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(PROFILE_COLUMNS):
-                raise IngestionError(f"row {row_number}: expected "
-                                     f"{len(PROFILE_COLUMNS)} fields, got {len(row)}")
-            text = row[0].strip()
+            stamp = datetime.fromisoformat(text)
+        except ValueError as exc:
+            raise IngestionError(f"row {row_number}: bad timestamp {text!r}") from exc
+        if stamps:
             try:
-                stamp = datetime.fromisoformat(text)
-            except ValueError as exc:
-                raise IngestionError(f"row {row_number}: bad timestamp {text!r}") from exc
-            if stamps:
-                try:
-                    step = stamp - stamps[-1]
-                except TypeError:  # only one of the two has a UTC offset
-                    step = None
-                if step != HOUR:
-                    raise _step_fault(row_number, stamps[-1], stamp, step)
-            try:
-                load_kw, pv_pu = float(row[1]), float(row[2])
-            except ValueError as exc:
-                raise IngestionError(f"row {row_number}: non-numeric value") from exc
-            if not (math.isfinite(load_kw) and math.isfinite(pv_pu)):
-                raise ValidationError(f"row {row_number}: non-finite value")
-            if load_kw < 0:
-                raise ValidationError(f"row {row_number}: load_kw={load_kw} is negative")
-            if not 0.0 <= pv_pu <= 1.0:
-                raise ValidationError(f"row {row_number}: pv_pu={pv_pu} outside [0, 1]")
-            stamps.append(stamp)
-            load.append(load_kw)
-            pv.append(pv_pu)
+                step = stamp - stamps[-1]
+            except TypeError:  # only one of the two has a UTC offset
+                step = None
+            if step != HOUR:
+                raise _step_fault(row_number, stamps[-1], stamp, step)
+        try:
+            load_kw, pv_pu = float(row[1]), float(row[2])
+        except ValueError as exc:
+            raise IngestionError(f"row {row_number}: non-numeric value") from exc
+        if not (math.isfinite(load_kw) and math.isfinite(pv_pu)):
+            raise ValidationError(f"row {row_number}: non-finite value")
+        if load_kw < 0:
+            raise ValidationError(f"row {row_number}: load_kw={load_kw} is negative")
+        if not 0.0 <= pv_pu <= 1.0:
+            raise ValidationError(f"row {row_number}: pv_pu={pv_pu} outside [0, 1]")
+        stamps.append(stamp)
+        load.append(load_kw)
+        pv.append(pv_pu)
     if not stamps:
         raise IngestionError(f"{path}: no data rows")
     return AnnualProfile(timestamps=tuple(stamp.isoformat() for stamp in stamps),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import DeviceCatalog, ScenarioSet, TariffPlan
+from .data_model import DEVICES, DeviceCatalog, ScenarioSet, TariffPlan
 from .errors import ValidationError
 
 ANNUALIZE_KINDS = ("energy", "degradation", "shedding", "demand")
@@ -64,13 +64,12 @@ def catalog_from_capital_costs(capital: dict[str, float], rate: float, years: in
                                **overrides) -> DeviceCatalog:
     """Build a catalog from raw capital costs ($/kW) via the CRF.
 
-    ``capital`` maps any of pv/es/ic/inv/con to a $/kW capital cost; the
+    ``capital`` maps any of ``DEVICES`` to a $/kW capital cost; the
     remaining catalog fields come from ``overrides`` or the defaults.
     Catalogs built directly from already-annualized prices skip this.
     """
     crf = capital_recovery_factor(rate, years)
-    known = {"pv", "es", "ic", "inv", "con"}
-    unknown = set(capital) - known
+    unknown = set(capital) - set(DEVICES)
     if unknown:
         raise ValidationError(f"unknown capital cost keys: {sorted(unknown)}")
     annualized = {f"c_{key}": value * crf for key, value in capital.items()}
@@ -80,16 +79,14 @@ def catalog_from_capital_costs(capital: dict[str, float], rate: float, years: in
 def investment_cost(capacities: dict[str, float], catalog: DeviceCatalog) -> float:
     """Annualized purchase cost of the five installed capacities.
 
-    ``capacities`` maps pv/es/ic/inv/con to installed kW.
+    ``capacities`` maps ``DEVICES`` to installed kW.
     """
-    prices = {"pv": catalog.c_pv, "es": catalog.c_es, "ic": catalog.c_ic,
-              "inv": catalog.c_inv, "con": catalog.c_con}
-    unknown = set(capacities) - set(prices)
+    unknown = set(capacities) - set(DEVICES)
     if unknown:
         raise ValidationError(f"unknown capacities: {sorted(unknown)}")
     total = 0.0
     for key, kw in capacities.items():
-        total += prices[key] * kw
+        total += getattr(catalog, f"c_{key}") * kw
     return total
 
 

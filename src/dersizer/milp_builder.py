@@ -49,7 +49,7 @@ from numbers import Real
 import numpy as np
 import scipy.sparse as sp
 
-from .data_model import DeviceCatalog, ScenarioSet, TariffPlan
+from .data_model import DAY_SERIES, DEVICES, DeviceCatalog, ScenarioSet, TariffPlan
 from .errors import BuildError, SolverError
 from .milp_instance import EQ, GE, LE, MilpInstance
 from .solution import CaseSpec, GridDispatch, IslandedDispatch, SizingSolution
@@ -81,7 +81,7 @@ def compute_big_m(scenario_set: ScenarioSet, catalog: DeviceCatalog) -> dict[str
     return {"m_flow": m_flow, "m_es": catalog.es_max}
 
 
-_X_NAMES = ("x_pv", "x_es", "x_ic", "x_inv", "x_con")
+_X_NAMES = tuple(f"x_{device}" for device in DEVICES)
 
 
 @lru_cache(maxsize=64)
@@ -174,8 +174,7 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
     n_cols = len(col_names)
     x_pv, x_es, x_ic, x_inv, x_con = range(len(_X_NAMES))
 
-    series = {attr: np.array([getattr(day, attr) for day in days])
-              for attr in ("cl_ac", "cl_dc", "nl_ac", "nl_dc", "pv_availability")}
+    series = {attr: np.array([getattr(day, attr) for day in days]) for attr in DAY_SERIES}
     probability = scenario_set.probabilities[:, None]
     w_day = probability * scenario_set.annual_day_weight
     w_dem = probability * scenario_set.annual_demand_weight
@@ -187,8 +186,7 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
     sizing = slice(len(_X_NAMES))
     upper[sizing] = (catalog.pv_max if pv_on else 0.0, catalog.es_max if es_on else 0.0,
                      np.inf, np.inf if es_on else 0.0, np.inf)
-    objective[sizing] = (catalog.c_pv, catalog.c_es, catalog.c_ic, catalog.c_inv,
-                         catalog.c_con)
+    objective[sizing] = [getattr(catalog, f"c_{device}") for device in DEVICES]
     upper[c["p_peak"]] = tariff.peak_cap
     objective[c["p_peak"]] = w_dem * tariff.demand_price
     objective[c["p_grid"]] = w_day * tariff.energy_price
@@ -355,7 +353,7 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
 def variable_blocks(instance: MilpInstance) -> dict[str, np.ndarray]:
     """Column indices of each variable family of a sizing model.
 
-    ``x`` is (5,) in pv, es, ic, inv, con order, ``p_peak`` is (S,), ``soc``
+    ``x`` is (5,) in ``DEVICES`` order, ``p_peak`` is (S,), ``soc``
     is (S, T+1) and every other family is (S, T), all in (scenario,
     interval) order. Families the case does not build are absent.
     """
@@ -394,7 +392,7 @@ def extract_solution(instance: MilpInstance, raw) -> SizingSolution:
     return SizingSolution(
         case=instance.meta["case"], status=raw.status, objective=float(raw.objective),
         gap=float(raw.achieved_gap),
-        capacities=dict(zip(("pv", "es", "ic", "inv", "con"), x[blocks["x"]].tolist())),
+        capacities=dict(zip(DEVICES, x[blocks["x"]].tolist())),
         grid=fill(GridDispatch), islanded=fill(IslandedDispatch),
         soc_boundary=instance.meta["soc_boundary"],
     )

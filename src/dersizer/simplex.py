@@ -396,12 +396,8 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
             x_b, violation = violations()
             if violation.max(initial=0.0) <= TOL_FEAS:
                 return None
-            merit = float(cost @ x)  # the dual objective: rises or stalls
-            if merit > last_merit + 1e-10 * max(1.0, abs(merit)):
-                stall = 0
-            else:
-                stall += 1
-            last_merit = merit
+            # The dual objective rises or stalls.
+            stall, last_merit = _stall(float(cost @ x), last_merit, stall)
             bland = stall > STALL_LIMIT
             if bland:  # the violated row whose basic column has the lowest index
                 rows = np.flatnonzero(violation > TOL_FEAS)
@@ -465,7 +461,7 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
         """
         cost[:] = c_full
         c_b[:] = c_full[basis]
-        stall, last_merit = 0, np.inf
+        stall, last_merit = 0, -np.inf
         while True:
             if time_up():
                 return stopped("time_limit")
@@ -473,12 +469,8 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
             if violation.max(initial=0.0) > TOL_FEAS:
                 return None
             reduced = reduced_costs()
-            merit = float(c_full @ x)
-            if merit < last_merit - 1e-10 * max(1.0, abs(merit)):
-                stall = 0
-            else:
-                stall += 1
-            last_merit = merit
+            # The objective falls or stalls, so its negative rises or stalls.
+            stall, last_merit = _stall(-float(c_full @ x), last_merit, stall)
             bland = stall > STALL_LIMIT
 
             # Entering column: most attractive reduced cost, or Bland on stall.
@@ -545,6 +537,12 @@ def simplex_solve(form: StandardForm, objective: np.ndarray,
             ended = primal_phase()  # None: drifted, back to the dual phase
         if ended is not None:
             return ended
+
+
+def _stall(merit: float, last: float, count: int) -> tuple[int, float]:
+    """The stall count and last merit after an iteration at ``merit``. The count
+    restarts when the merit rose by a relative 1e-10 over ``last``."""
+    return (0 if merit > last + 1e-10 * max(1.0, abs(merit)) else count + 1), merit
 
 
 def _perturbation(c: np.ndarray) -> np.ndarray:

@@ -94,4 +94,4 @@ class SizingSolution:
     capacities: dict[str, float]
     grid: GridDispatch
     islanded: IslandedDispatch
-    soc_boundary: str | float = "cyclic"
+    soc_boundary: str | float

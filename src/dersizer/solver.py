@@ -58,7 +58,7 @@ import numpy as np
 from .data_model import is_real
 from .errors import NumericalError, OracleGuardError, SolverError
 from .milp_instance import MilpInstance
-from .simplex import simplex_solve, standardize
+from .simplex import TOL_FEAS, simplex_solve, standardize
 
 INT_TOL = 1e-6
 
@@ -126,6 +126,11 @@ def _gap(incumbent: float, bound: float) -> float:
     return max(0.0, (incumbent - bound) / max(1.0, abs(incumbent)))
 
 
+def _gap_status(gap: float) -> str:
+    """The status of a solve that ends at this gap: ``optimal`` once it is closed."""
+    return "optimal" if gap <= 1e-12 else "gap_optimal"
+
+
 def solve_lp(instance: MilpInstance) -> SolveResult:
     """Solve the LP relaxation (integrality dropped) with the simplex core."""
     res = simplex_solve(standardize(instance), instance.objective,
@@ -172,9 +177,8 @@ def _fixed(lower, upper, cols, values):
     return lower, upper
 
 
-# A gated flow above this carries its binary's value into the dive: the
-# LP core's feasibility tolerance.
-GATE_TOL = 1e-7
+# A gated flow above this carries its binary's value into the dive.
+GATE_TOL = TOL_FEAS
 
 
 def _dive_values(instance: MilpInstance, x: np.ndarray) -> np.ndarray:
@@ -314,7 +318,7 @@ def solve_reference(instance: MilpInstance, options: SolveOptions,
                            iterations=iterations, node_log=log, basis=root_basis)
     achieved = _gap(incumbent_obj, best_bound)
     if status != "time_limit":
-        status = "optimal" if achieved <= 1e-12 else "gap_optimal"
+        status = _gap_status(achieved)
     incumbent_x = incumbent_x[:instance.n_cols].copy()
     return SolveResult(status, float(incumbent_obj), incumbent_x,
                        achieved_gap=achieved, nodes=len(log),
@@ -467,8 +471,7 @@ def solve_external(instance: MilpInstance, options: SolveOptions,
         if dive is not None:
             gap = _gap(dive.objective, relaxation.objective)
             if gap <= options.relative_gap:
-                return result("optimal" if gap <= 1e-12 else "gap_optimal",
-                              dive.objective, dive.x, achieved_gap=gap)
+                return result(_gap_status(gap), dive.objective, dive.x, achieved_gap=gap)
 
     def has_point(status):
         # At a limit, only a MIP run's finite objective is an incumbent's.
@@ -499,7 +502,6 @@ def solve_external(instance: MilpInstance, options: SolveOptions,
     info = model.getInfo()
     # A run with no binaries is an LP's: no MIP gap (inf) and no nodes (-1).
     gap, nodes = (info.mip_gap, info.mip_node_count) if len(binaries) else (0.0, 0)
-    outcome = ("time_limit" if status != optimal
-               else "optimal" if gap <= 1e-12 else "gap_optimal")
+    outcome = _gap_status(gap) if status == optimal else "time_limit"
     return result(outcome, info.objective_function_value,
                   np.array(model.getSolution().col_value), achieved_gap=gap, nodes=nodes)

@@ -49,7 +49,9 @@ EXIT_OK, EXIT_SOLVE, EXIT_AUDIT, EXIT_CONFIG = 0, 1, 2, 3
 
 
 def _fmt(value: float) -> str:
-    return f"{value + 0.0:.6f}"           # + 0.0 writes a -0.0 from a solver as 0.000000
+    """Six decimals; a value that rounds to zero, -1e-13 or -0.0, is 0.000000."""
+    text = f"{value:.6f}"
+    return "0.000000" if text == "-0.000000" else text
 
 
 # What a config file gets for a solve key or a tariff block it leaves out;
@@ -90,8 +92,8 @@ class StudyConfig:
     reduction: ReductionConfig = field(default_factory=ReductionConfig)
     catalog: DeviceCatalog = field(default_factory=DeviceCatalog)
     tariff: TariffPlan = DEFAULT_TARIFF
-    annual_day_weight: float = 365.0
-    annual_demand_weight: float = 12.0
+    annual_day_weight: float = ScenarioSet.annual_day_weight
+    annual_demand_weight: float = ScenarioSet.annual_demand_weight
     solve: SolveOptions = DEFAULT_SOLVE
     soc_boundary: str | float = "cyclic"
 
@@ -122,11 +124,8 @@ class StudyConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
             profile = raw.get("profile")
-            profile_path = packaged_profile_path() if profile is None \
-                else (base / profile if not Path(profile).is_absolute() else Path(profile))
-            out_raw = raw.get("output_dir", cls.output_dir)
-            output_dir = base / out_raw if not Path(out_raw).is_absolute() \
-                else Path(out_raw)
+            profile_path = packaged_profile_path() if profile is None else base / profile
+            output_dir = base / raw.get("output_dir", cls.output_dir)
             weights = _config_block(raw, "weights", WEIGHT_KEYS)
             check_reals("weights", weights)
             return cls(
@@ -152,7 +151,11 @@ class StudyConfig:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            raw = json.loads(path.read_text())
+            text = path.read_text(encoding="utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        try:
+            raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):

@@ -80,6 +80,22 @@ def test_parse_a_file_without_data_rows(tmp_path, text, message):
         parse_profile_csv(path)
 
 
+def test_parse_skips_a_byte_order_mark(tmp_path):
+    path = _write(tmp_path, ["2019-01-01T00:00:00,100,0.1", "2019-01-01T01:00:00,110,0.2"])
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    profile = parse_profile_csv(path)
+    assert profile.timestamps == ("2019-01-01T00:00:00", "2019-01-01T01:00:00")
+    assert profile.load_kw.tolist() == [100.0, 110.0]
+
+
+def test_parse_bytes_that_are_not_utf8_before_any_row(tmp_path):
+    # Row 2 is faulty, but the whole file is decoded before any row is judged.
+    path = _write(tmp_path, ["2019-01-01T00:00:00,-1,0.1"])
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    with pytest.raises(IngestionError, match="profile.csv: not UTF-8 text"):
+        parse_profile_csv(path)
+
+
 def test_parse_a_missing_file(tmp_path):
     with pytest.raises(IngestionError, match="profile file not found"):
         parse_profile_csv(tmp_path / "missing.csv")

@@ -138,6 +138,12 @@ def test_reconstruction_error_rejects_a_day_outside_the_profile(packaged_profile
         reconstruction_error(packaged_profile, _one_day_set("day999"))
 
 
+def test_reconstruction_error_needs_a_whole_day():
+    profile = make_profile(np.full(23, 100.0), np.zeros(23))
+    with pytest.raises(ConfigError, match="profile does not cover a whole day"):
+        reconstruction_error(profile, _one_day_set("day000"))
+
+
 def test_bad_config_values():
     with pytest.raises(ConfigError):
         ReductionConfig(k=0)

@@ -2,6 +2,7 @@
 
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -313,6 +314,18 @@ def test_warm_start_matches_cold_after_bound_change(seed, nonneg):
                          basis=first.basis, col_status=first.col_status,
                          deadline=time.perf_counter() - 1.0)
     assert late.status == "time_limit"
+
+
+def test_the_primal_phase_stops_at_the_deadline(monkeypatch):
+    # The all-logical start is primal feasible (x = 0 meets x <= 5), so the
+    # dual phase returns at its first clock read; the primal phase's first
+    # read is past the deadline.
+    reads = iter([0.0, 2.0])
+    monkeypatch.setattr(simplex, "time", SimpleNamespace(perf_counter=lambda: next(reads)))
+    inst = dense_instance([-1.0], [0.0], [np.inf], [[1.0]], [LE], [5.0])
+    res = simplex_solve(standardize(inst), inst.objective, inst.col_lower, inst.col_upper,
+                        deadline=1.0)
+    assert res.status == "time_limit" and res.iterations == 0
 
 
 def test_degenerate_duplicate_rows_terminate():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dersizer.cli as cli
 import dersizer.solver as solver
 from dersizer import (CaseSpec, CostBreakdown, build_model, compare_cases, run_study,
                       solve_milp, study, write_profile_csv)
@@ -180,6 +181,12 @@ def test_infeasible_case_reports_and_continues(tmp_path, small_profile_path):
     assert "n/a" in results
 
 
+@pytest.mark.parametrize("value, text", [(-0.0, "0.000000"), (-1e-13, "0.000000"),
+                                         (-4e-7, "0.000000"), (-6e-7, "-0.000001")])
+def test_a_value_that_rounds_to_zero_is_written_as_zero(value, text):
+    assert study._fmt(value) == text
+
+
 def test_compare_cases_math():
     base = CostBreakdown(energy_charges=74.59, demand_charges=12.70)
     der = CostBreakdown(energy_charges=53.34, demand_charges=8.22)
@@ -245,6 +252,39 @@ def test_cli_malformed_profile_is_a_config_error(tmp_path, capsys):
         assert cli_main([command, "--config", str(config_path)]) == 3
         assert f"cannot ingest {profile}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "reduce"])
+def test_cli_profile_that_is_not_utf8_is_an_input_error(tmp_path, small_profile_path,
+                                                       command, capsys):
+    profile = tmp_path / "profile.csv"
+    profile.write_bytes(small_profile_path.read_bytes() + b"\xff\n")
+    argv = (["--profile", str(profile)] if command == "reduce"
+            else ["--config", str(_config_file(tmp_path, profile, cases=[0]))])
+    assert cli_main([command, *argv]) == 3
+    assert f"{profile}: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_config_that_is_not_utf8_is_an_input_error(tmp_path, small_profile_path,
+                                                      command, capsys):
+    config_path = _config_file(tmp_path, small_profile_path, cases=[0])
+    config_path.write_bytes(b"\xff" + config_path.read_bytes())
+    assert cli_main([command, "--config", str(config_path)]) == 3
+    assert f"{config_path}: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_reports_a_study_error_that_is_not_an_input_error_as_a_solve_error(
+        tmp_path, small_profile_path, monkeypatch, capsys):
+    def run_study(config):
+        raise NumericalError("injected")
+
+    monkeypatch.setattr(cli, "run_study", run_study)
+    config_path = _config_file(tmp_path, small_profile_path, cases=[0])
+    assert cli_main(["run", "--config", str(config_path)]) == 1
+    assert "solve error: injected" in capsys.readouterr().err
 
 
 def test_cli_reports_a_cold_numerical_error_as_a_failed_case(
