@@ -319,15 +319,22 @@ def parse_profile_csv(path) -> AnnualProfile:
     timestamp; negative loads or PV availability outside [0, 1] are
     validation errors naming the row. Each row is checked as it is read, so
     the first faulty row in file order is reported; its step from the row
-    before is checked before its values.
+    before is checked before its values. Every message begins with the path.
     """
     path = Path(path)
+    try:
+        return _read_profile(path)
+    except (IngestionError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _read_profile(path: Path) -> AnnualProfile:
     if not path.exists():
-        raise IngestionError(f"profile file not found: {path}")
+        raise IngestionError("profile file not found")
     try:
         content = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        raise IngestionError(f"not UTF-8 text ({exc.reason})") from None
     stamps: list[datetime] = []
     load: list[float] = []
     pv: list[float] = []
@@ -335,10 +342,9 @@ def parse_profile_csv(path) -> AnnualProfile:
     try:
         header = next(reader)
     except StopIteration:
-        raise IngestionError(f"{path}: empty file") from None
+        raise IngestionError("empty file") from None
     if tuple(h.strip() for h in header) != PROFILE_COLUMNS:
-        raise IngestionError(
-            f"{path}: header {header!r} does not match {list(PROFILE_COLUMNS)!r}")
+        raise IngestionError(f"header {header!r} does not match {list(PROFILE_COLUMNS)!r}")
     for row_number, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -371,7 +377,7 @@ def parse_profile_csv(path) -> AnnualProfile:
         load.append(load_kw)
         pv.append(pv_pu)
     if not stamps:
-        raise IngestionError(f"{path}: no data rows")
+        raise IngestionError("no data rows")
     return AnnualProfile(timestamps=tuple(stamp.isoformat() for stamp in stamps),
                          load_kw=np.array(load), pv_pu=np.array(pv))
 

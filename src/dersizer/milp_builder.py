@@ -32,8 +32,10 @@ each interval in turn, one column of every dispatch family. Rows follow
 the same scheme: per scenario the SoC band per state, the day boundary,
 then per interval one row of every family. Names are
 ``{family}_s{s}_t{t}`` (``{family}_s{s}`` for one-per-scenario families).
-Exact-zero coefficients are dropped, so a night interval's PV cap has no
-``x_pv`` entry.
+The layout depends only on the model's shape (scenarios, intervals, case
+and boundary rule), so it is made once per shape and models of one shape
+share its index arrays, names and senses. Exact-zero coefficients are
+dropped, so a night interval's PV cap has no ``x_pv`` entry.
 
 ``build_model`` is a pure function and instances are immutable once
 built, so models for different cases may be built and solved
@@ -45,6 +47,7 @@ from __future__ import annotations
 from dataclasses import fields
 from functools import lru_cache
 from numbers import Real
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,39 +88,38 @@ _X_NAMES = tuple(f"x_{device}" for device in DEVICES)
 
 
 @lru_cache(maxsize=64)
-def _shared(items: tuple) -> tuple:
-    """The first tuple equal to ``items`` that recent builds made.
+def _layout(head: tuple[str, ...], n_s: int, sections: tuple) -> tuple:
+    """Index arrays, names and senses of one side of a model, made once per shape.
 
-    Names, senses and families depend only on a model's shape, so models
-    of one shape hold one copy of each.
-    """
-    return items
+    The items named ``head`` come first, as family ``x``. Then scenario by
+    scenario come the sections ``(families, first, count)``, each a tuple of
+    ``(family, sense)`` pairs (sense None for columns) repeated ``count``
+    steps: one item per family in turn. Step ``i`` is interval ``first +
+    i``, named ``{family}_s{s}_t{first + i}``, or the scenario itself
+    (``{family}_s{s}``) when ``first`` is None.
 
-
-def _layout(start: int, n_s: int,
-            sections: list[tuple[tuple[str, ...], int | None, int]]):
-    """Index arrays and names of families laid out scenario by scenario.
-
-    A section ``(families, first, count)`` holds, in each scenario,
-    ``count`` steps of one item per family in turn. Step ``i`` is interval
-    ``first + i``, named ``{family}_s{s}_t{first + i}``, or the scenario
-    itself (``{family}_s{s}``) when ``first`` is None. Scenario ``s`` holds
-    its sections in order and follows scenario ``s - 1``; the first item
-    has index ``start``. Returns each family's (S, count) index array and
-    the names in index order.
+    Returns a read-only mapping from family to read-only index array, in
+    layout order: ``x`` is (len(head),), a ``first=None`` family (S,) and
+    any other (S, count). Then the names in index order, and the senses of
+    the items after the head. The result is cached, so builds of one shape
+    share every object in it.
     """
     width = sum(len(families) * count for families, _, count in sections)
-    index, offset = {}, start
-    for families, _, count in sections:
-        steps = width * np.arange(n_s)[:, None] + len(families) * np.arange(count)
-        for pos, family in enumerate(families):
-            index[family] = steps + offset + pos
+    index = {"x": np.arange(len(head))} if head else {}
+    offset = len(head)
+    for families, first, count in sections:
+        steps = width * np.arange(n_s)[:, None] + len(families) * np.arange(count) + offset
+        for pos, (family, _) in enumerate(families):
+            index[family] = steps[:, 0] + pos if first is None else steps + pos
         offset += len(families) * count
-    names = (family + tag for s in range(n_s) for families, first, count in sections
+    for block in index.values():
+        block.setflags(write=False)
+    items = [(family + tag, sense) for s in range(n_s) for families, first, count in sections
              for tag in ([f"_s{s}"] if first is None else
                          [f"_s{s}_t{t}" for t in range(first, first + count)])
-             for family in families)
-    return index, tuple(names)
+             for family, sense in families]
+    names, senses = zip(*items)
+    return MappingProxyType(index), head + names, senses
 
 
 def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
@@ -129,10 +131,12 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
     within the usable band) or a fraction of the battery's energy capacity
     fixing the start-of-day state.
 
-    ``meta["families"]`` names the variable families in build order, each
-    by its column-name prefix, and ``meta["col_family"]`` gives every
-    column's position in that tuple as one int8 code per column;
-    :func:`variable_blocks` turns them into index arrays.
+    ``meta["blocks"]`` maps each variable family, in build order and by
+    its column-name prefix, to its column indices in (scenario, interval)
+    order: ``x`` is (5,) in ``DEVICES`` order, ``p_peak`` is (S,), ``soc``
+    is (S, T+1) and every other family is (S, T). Families the case does
+    not build are absent. The mapping and its arrays are read-only and
+    shared by every model of the same shape.
     ``meta["binary_on"]`` and ``meta["binary_off"]`` state which flows
     each binary gates, as (2, n) arrays of (position in ``binary_indices``,
     column) pairs: a binary must be 1 where its on columns carry flow and 0
@@ -169,14 +173,15 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
     col_sections = [(("p_peak",), None, 1),
                     *([(("soc",), 0, t_count + 1)] if es_on else []),
                     (dispatch, 1, t_count)]
-    c, names = _layout(len(_X_NAMES), n_s, col_sections)  # c[family]: column indices
-    col_names = _shared(_X_NAMES + names)
+    c, col_names, _ = _layout(_X_NAMES, n_s, tuple(  # c[family]: column indices
+        (tuple((family, None) for family in families), first, count)
+        for families, first, count in col_sections))
     n_cols = len(col_names)
     x_pv, x_es, x_ic, x_inv, x_con = range(len(_X_NAMES))
 
     series = {attr: np.array([getattr(day, attr) for day in days]) for attr in DAY_SERIES}
-    probability = scenario_set.probabilities[:, None]
-    w_day = probability * scenario_set.annual_day_weight
+    probability = scenario_set.probabilities
+    w_day = probability[:, None] * scenario_set.annual_day_weight
     w_dem = probability * scenario_set.annual_demand_weight
 
     lower = np.zeros(n_cols)
@@ -221,9 +226,9 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
         band = [("soc_lo", GE, 0.0, [(soc, 1.0), (x_es, -catalog.alpha_min * rho_cap)]),
                 ("soc_hi", LE, 0.0, [(soc, 1.0), (x_es, -catalog.alpha_max * rho_cap)])]
         if cyclic:
-            boundary = [("soc_cycle", EQ, 0.0, [(soc[:, :1], 1.0), (soc[:, -1:], -1.0)])]
+            boundary = [("soc_cycle", EQ, 0.0, [(soc[:, 0], 1.0), (soc[:, -1], -1.0)])]
         else:
-            boundary = [("soc_start", EQ, 0.0, [(soc[:, :1], 1.0),
+            boundary = [("soc_start", EQ, 0.0, [(soc[:, 0], 1.0),
                                                 (x_es, -float(soc_boundary) * rho_cap)])]
         # Exact product u = x_es * y: u = x_es - k, u <= M y, k <= M (1 - y).
         product = [("udef_dch", EQ, 0.0, [(u, 1.0), (x_es, -1.0), (k, 1.0)]),
@@ -263,7 +268,7 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
         ("flow_out_cap", LE, m_flow, [(f_out, 1.0), (c["z_flow"], m_flow)]),
         *battery_rows,
         ("pv_avail", LE, 0.0, [(c["v_pv"], 1.0), (x_pv, -avail)]),
-        ("peak_link", LE, 0.0, [(c["p_grid"], 1.0), (c["p_peak"], -1.0)]),
+        ("peak_link", LE, 0.0, [(c["p_grid"], 1.0), (c["p_peak"][:, None], -1.0)]),
         # Islanded one-interval contingency at this interval.
         ("i_bal_ac", EQ, ac_load, [(c["i_f_ac"], -1.0), (c["shed_cl_ac"], 1.0),
                                    (c["shed_nl_ac"], 1.0), *i_ac_storage]),
@@ -285,8 +290,9 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
         ("size_ic_i_out", LE, 0.0, [(i_f_out, 1.0), (x_ic, -1.0)]),
     ]
     row_groups = [(band, 0, t_count + 1), (boundary, None, 1), (per_interval, 1, t_count)]
-    r, row_names = _layout(0, n_s, [  # r[family]: row indices
-        (tuple(spec[0] for spec in specs), first, count) for specs, first, count in row_groups])
+    r, row_names, row_sense = _layout((), n_s, tuple(  # r[family]: row indices
+        (tuple((family, sense) for family, sense, _, _ in specs), first, count)
+        for specs, first, count in row_groups))
     n_rows = len(row_names)
 
     expected = expected_dimensions(n_s, t_count, case)
@@ -294,12 +300,11 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
         raise BuildError(f"built ({n_cols}, {n_rows}) columns/rows, expected "
                          f"({expected['n_cols']}, {expected['n_rows']})")
     rhs = np.full(n_rows, np.nan)  # rows left unset fail validation
-    row_sense = np.full(n_rows, None, dtype=object)
     blocks = []  # per family: (row, column, value) of every term, term by term
     for specs, _, _ in row_groups:
-        for family, sense, value, terms in specs:
+        for family, _, value, terms in specs:
             index = r[family]
-            rhs[index], row_sense[index] = value, sense
+            rhs[index] = value
             block = np.empty((3, len(terms)) + index.shape)
             block[0] = index
             for i, (columns, coef) in enumerate(terms):
@@ -311,10 +316,6 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
     matrix = sp.coo_matrix((values[kept], (rows[kept], cols[kept])),
                            shape=(n_rows, n_cols)).tocsr()
 
-    families = _shared(("x", *c))
-    col_family = np.zeros(n_cols, dtype=np.int8)
-    for code, family in enumerate(families[1:], start=1):
-        col_family[c[family]] = code
     # The flows each binary gates, from the rows above: f_dc_in needs
     # z_flow = 1 and f_dc_out needs z_flow = 0 (likewise i_z_flow), and
     # discharge needs y_dch = 1 through u_dch. A y_dch of 1 also stops
@@ -334,11 +335,9 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
 
     instance = MilpInstance(
         col_names=col_names, col_lower=lower, col_upper=upper, col_binary=col_binary,
-        objective=objective, row_names=_shared(row_names),
-        row_sense=_shared(tuple(row_sense)), rhs=rhs,
+        objective=objective, row_names=row_names, row_sense=row_sense, rhs=rhs,
         matrix=matrix, meta={
-            "families": families,
-            "col_family": col_family,
+            "blocks": c,
             "scenarios": n_s,
             "intervals": t_count,
             "case": case,
@@ -350,27 +349,11 @@ def build_model(scenario_set: ScenarioSet, catalog: DeviceCatalog,
     return instance
 
 
-def variable_blocks(instance: MilpInstance) -> dict[str, np.ndarray]:
-    """Column indices of each variable family of a sizing model.
-
-    ``x`` is (5,) in ``DEVICES`` order, ``p_peak`` is (S,), ``soc``
-    is (S, T+1) and every other family is (S, T), all in (scenario,
-    interval) order. Families the case does not build are absent.
-    """
-    codes = instance.meta["col_family"]
-    n_s = instance.meta["scenarios"]
-    blocks = {}
-    for code, family in enumerate(instance.meta["families"]):
-        cols = np.flatnonzero(codes == code)
-        blocks[family] = cols if family in ("x", "p_peak") else cols.reshape(n_s, -1)
-    return blocks
-
-
 def extract_solution(instance: MilpInstance, raw) -> SizingSolution:
     """Map a raw solver result to capacities and dispatch blocks.
 
     Every dispatch field is named after a variable family and reads the
-    solution at that family's columns (:func:`variable_blocks`); a family
+    solution at that family's columns (``meta["blocks"]``); a family
     the case does not build reads as zeros. Extraction does not price the
     point, the audit does. A result without a point (infeasible, or a time
     limit with no incumbent) has no solution, and an unbounded or unknown
@@ -381,7 +364,7 @@ def extract_solution(instance: MilpInstance, raw) -> SizingSolution:
         raise SolverError(f"cannot extract from solver status {raw.status!r}")
     x = np.asarray(raw.x, dtype=float)
     n_s, t_count = instance.meta["scenarios"], instance.meta["intervals"]
-    blocks = variable_blocks(instance)
+    blocks = instance.meta["blocks"]
 
     def fill(dispatch):
         return dispatch(**{

@@ -5,7 +5,8 @@ binary), sparse rows with a sense and right-hand side, and a minimize
 objective. Names serve the LP-format export and lookups by name; indexed
 variables use the ``name_s{s}_t{t}`` convention so they stay legal
 LP-format identifiers. A model builder that needs its variables back by
-index records them itself (see ``milp_builder.variable_blocks``).
+index records them itself in ``meta`` (see ``milp_builder.build_model``'s
+``meta["blocks"]``).
 """
 
 from __future__ import annotations

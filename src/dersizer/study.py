@@ -259,7 +259,7 @@ def prepare_study(config: StudyConfig) -> tuple[AnnualProfile, ScenarioSet]:
     try:
         profile = parse_profile_csv(config.profile)
     except (IngestionError, ValidationError, OSError) as exc:
-        raise ConfigError(f"cannot ingest {config.profile}: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
     reduced = reduce_scenarios(profile, config.reduction, config.split)
     scenario_set = ScenarioSet(days=reduced.days,
                                annual_day_weight=config.annual_day_weight,

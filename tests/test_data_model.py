@@ -224,7 +224,7 @@ def test_parse_matches_the_row_by_row_reference(tmp_path):
         except (IngestionError, ValidationError) as exc:
             with pytest.raises(type(exc)) as raised:
                 parse_profile_csv(path)
-            assert str(raised.value) == str(exc)
+            assert str(raised.value) == f"{path}: {exc}"
             outcomes.add(str(exc).split(": ")[1].split(" ")[0].split("=")[0])
             continue
         if not expected:

@@ -14,7 +14,7 @@ from dersizer import (CaseSpec, DeviceCatalog, ScenarioSet, SolveOptions,
 from dersizer import milp_builder
 from dersizer.data_model import DayScenario
 from dersizer.errors import BuildError, SolverError, ValidationError
-from dersizer.milp_builder import expected_dimensions, variable_blocks
+from dersizer.milp_builder import expected_dimensions
 from dersizer.milp_instance import GE, LE
 from dersizer.solution import GridDispatch, IslandedDispatch
 from dersizer.solver import SolveResult
@@ -105,7 +105,7 @@ def test_index_blocks_match_column_names(case_number, soc_boundary):
     case = CaseSpec.from_number(case_number)
     instance = build_model(ScenarioSet(days=days), DeviceCatalog(), _tariff(3), case,
                            soc_boundary=soc_boundary)
-    blocks, names = variable_blocks(instance), instance.col_names
+    blocks, names = instance.meta["blocks"], instance.col_names
     every = np.concatenate([index.ravel() for index in blocks.values()])
     assert np.array_equal(np.sort(every), np.arange(instance.n_cols))
     assert [names[j] for j in blocks["x"]] == ["x_pv", "x_es", "x_ic", "x_inv", "x_con"]
@@ -133,11 +133,37 @@ def test_index_blocks_match_column_names(case_number, soc_boundary):
 
 
 def test_models_of_one_shape_share_names_and_senses():
-    first = build_model(*tiny_sizing_inputs(0), CaseSpec.from_number(3))
-    second = build_model(*tiny_sizing_inputs(1), CaseSpec.from_number(3))
-    for shared in ("col_names", "row_names", "row_sense"):
-        assert getattr(first, shared) is getattr(second, shared), shared
-    assert first.meta["families"] is second.meta["families"]
+    # Twins: case 3 over other days, and case 1 built after case 0.
+    scen, catalog, tariff = tiny_sizing_inputs(0)
+    pairs = [(build_model(*tiny_sizing_inputs(0), CaseSpec.from_number(3)),
+              build_model(*tiny_sizing_inputs(1), CaseSpec.from_number(3))),
+             (build_model(scen, catalog, tariff, CaseSpec.from_number(0)),
+              build_model(scen, catalog, tariff, CaseSpec.from_number(1)))]
+    for first, second in pairs:
+        for shared in ("col_names", "row_names", "row_sense"):
+            assert getattr(first, shared) is getattr(second, shared), shared
+        assert first.meta["blocks"] is second.meta["blocks"]
+
+
+@pytest.mark.parametrize("order", [("cyclic", 0.5), (0.5, "cyclic")])
+def test_each_soc_boundary_keeps_its_own_rows(order):
+    scen, catalog, tariff = tiny_sizing_inputs(0)
+    built = {boundary: build_model(scen, catalog, tariff, CaseSpec.from_number(3),
+                                   soc_boundary=boundary) for boundary in order}
+    for boundary, own, other in (("cyclic", "soc_cycle_s0", "soc_start_s0"),
+                                 (0.5, "soc_start_s0", "soc_cycle_s0")):
+        assert own in built[boundary].row_names, boundary
+        assert other not in built[boundary].row_names, boundary
+    assert built["cyclic"].col_names is built[0.5].col_names
+
+
+def test_layout_blocks_are_read_only():
+    blocks = build_model(*tiny_sizing_inputs(0), CaseSpec.from_number(3)).meta["blocks"]
+    for index in blocks.values():
+        with pytest.raises(ValueError, match="read-only"):
+            index[...] = 0
+    with pytest.raises(TypeError):
+        blocks["x"] = np.arange(5)
 
 
 def test_case_flags_pin_capacity_bounds():
@@ -191,7 +217,7 @@ def test_build_rejects_bad_soc_boundary():
 def test_product_reformulation_forces_u(x_value, y_value, expected_u):
     scen, catalog, tariff = tiny_sizing_inputs(0)
     instance = build_model(scen, catalog, tariff, CaseSpec.from_number(3))
-    blocks = variable_blocks(instance)
+    blocks = instance.meta["blocks"]
     x_es, y = blocks["x"][1], blocks["y_dch"][0, 0]
     u, k = blocks["u_dch"][0, 0], blocks["k_dch"][0, 0]
     lower, upper = instance.col_lower.copy(), instance.col_upper.copy()
@@ -219,15 +245,21 @@ def test_product_reformulation_rejects_small_m(monkeypatch):
 
 
 def _builder_digest(instance) -> str:
-    """Hash of every array, sense, name, family code and binary gate hint."""
+    """Hash of every array, sense, name, family code and binary gate hint.
+
+    A column's family code is its family's position in ``meta["blocks"]``,
+    one int8 per column.
+    """
+    families = tuple(instance.meta["blocks"])
+    codes = np.zeros(instance.n_cols, dtype=np.int8)
+    for code, family in enumerate(families):
+        codes[instance.meta["blocks"][family]] = code
     h = hashlib.sha256()
     for arr in (instance.objective, instance.col_lower, instance.col_upper,
                 instance.col_binary, instance.rhs, instance.matrix.indptr,
-                instance.matrix.indices, instance.matrix.data,
-                instance.meta["col_family"]):
+                instance.matrix.indices, instance.matrix.data, codes):
         h.update(np.ascontiguousarray(arr).tobytes() + b"|")
-    for text in (instance.row_sense, instance.col_names, instance.row_names,
-                 instance.meta["families"]):
+    for text in (instance.row_sense, instance.col_names, instance.row_names, families):
         h.update("\n".join(text).encode() + b"|")
     for hint in ("binary_on", "binary_off", "binary_free"):
         h.update(repr(instance.meta[hint].tolist()).encode() + b"|")
@@ -340,13 +372,13 @@ def test_extract_rejects_unbounded_status():
 @pytest.mark.parametrize("case_number", [0, 1, 2, 3])
 def test_dispatch_fields_are_the_model_families(case_number):
     scen, catalog, tariff = tiny_sizing_inputs(0)
-    families = variable_blocks(build_model(scen, catalog, tariff, CaseSpec.from_number(3)))
+    families = build_model(scen, catalog, tariff, CaseSpec.from_number(3)).meta["blocks"]
     grid_names = [f.name for f in fields(GridDispatch)]
     islanded_names = [f.name for f in fields(IslandedDispatch)]
     assert sorted(grid_names + islanded_names) == sorted(set(families) - {"x"})
 
     instance = build_model(scen, catalog, tariff, CaseSpec.from_number(case_number))
-    blocks = variable_blocks(instance)
+    blocks = instance.meta["blocks"]
     x = np.arange(1.0, instance.n_cols + 1.0)  # column j reads j + 1
     solution = extract_solution(instance, SolveResult(status="optimal", objective=0.0, x=x))
     assert list(solution.capacities.values()) == [1.0, 2.0, 3.0, 4.0, 5.0]

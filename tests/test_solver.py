@@ -18,7 +18,6 @@ from dersizer import (CaseSpec, LoadSplitSpec, ReductionConfig, SolveOptions,
                       build_model, check_solution, extract_solution,
                       oracle_enumerate, reduce_scenarios, solve_lp, solve_milp)
 from dersizer.errors import NumericalError, OracleGuardError, SolverError
-from dersizer.milp_builder import variable_blocks
 from dersizer.milp_instance import GE, LE
 
 from conftest import dense_instance, tiny_sizing_inputs
@@ -376,7 +375,7 @@ def test_dive_values_follow_the_gated_flows():
                           [GE], [0.0], binary=[True, True])
     assert solver._dive_values(inst, np.array([0.4, 0.6])).tolist() == [0.0, 1.0]
     sized, _ = _tiny_instance(0)
-    blocks = variable_blocks(sized)
+    blocks = sized.meta["blocks"]
     x = np.zeros(sized.n_cols)
     x[blocks["z_flow"]] = x[blocks["y_dch"]] = 0.9
     x[blocks["i_z_flow"]] = 0.1

@@ -250,7 +250,7 @@ def test_cli_malformed_profile_is_a_config_error(tmp_path, capsys):
     config_path = _config_file(tmp_path, profile, cases=[0])
     for command in ("validate", "run"):
         assert cli_main([command, "--config", str(config_path)]) == 3
-        assert f"cannot ingest {profile}" in capsys.readouterr().err
+        assert f"{profile}: header" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -264,6 +264,22 @@ def test_cli_profile_that_is_not_utf8_is_an_input_error(tmp_path, small_profile_
     assert cli_main([command, *argv]) == 3
     assert f"{profile}: not UTF-8 text" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fault", [
+    b"timestamp,load_kw,pv_pu\n2019-01-01T00:00:00,100,0.1\xff\n",
+    b"time,load,pv\n2019-01-01T00:00:00,100,0.1\n",
+    b"timestamp,load_kw,pv_pu\n2019-01-01T00:00:00,100,0.1\n2019-01-01T00:00:00,100,0.1\n",
+], ids=["not-utf8", "bad-header", "duplicate-timestamp"])
+@pytest.mark.parametrize("command", ["validate", "run", "reduce"])
+def test_cli_names_a_faulty_profile_once(tmp_path, command, fault, capsys):
+    profile = tmp_path / "profile.csv"
+    profile.write_bytes(fault)
+    argv = (["--profile", str(profile)] if command == "reduce"
+            else ["--config", str(_config_file(tmp_path, profile, cases=[0]))])
+    assert cli_main([command, *argv]) == 3
+    err = capsys.readouterr().err
+    assert err.count(str(profile)) == 1 and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
